@@ -59,15 +59,6 @@ pub enum Feature {
     /// default so every pre-existing scenario and golden stays
     /// bit-identical; the `*_parallel` bench scenarios enable it.
     ParallelSweep,
-    /// Fault-tolerant operation under a `semper_sim::FaultPlan`: the
-    /// ops engine arms per-pending-op deadlines, retries idempotent
-    /// legs a bounded number of times, aborts everything else with a
-    /// real `Err`, and tolerates the duplicate/missing replies a lossy
-    /// NoC produces (debug asserts on those paths soften to counters).
-    /// Off by default so every golden and trace fingerprint stays
-    /// bit-identical; the fault suites and fault bench scenarios
-    /// enable it together with a non-empty plan.
-    FaultInjection,
     /// Promise-capability IPC (ROADMAP item 4): `Syscall::SubmitAsync`
     /// returns a first-class *promise capability* immediately; the
     /// kernel pipelines dependent calls naming an unresolved promise

@@ -6,6 +6,14 @@
 //! serialization is what makes kernels the contention points whose
 //! behaviour the paper measures (parallel efficiency drops as more
 //! instances share a kernel).
+//!
+//! Under a fault plan the machine runs the same fault rules as the
+//! untimed `TestCluster`: both drive the shared core in
+//! [`semper_kernel::delivery`]. The machine only supplies its clock —
+//! NoC cycles, so a plan's delays, partition windows and deadline
+//! budgets count cycles — and its re-injection: messages are routed
+//! through the NoC into the [`PeSchedule`]. The fault-free event loop
+//! pays one `fault.is_some()` branch per event for all of it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,10 +21,11 @@ use semper_apps::client::ClientPhase;
 use semper_apps::{AppClient, LoadGen, NginxServer, Trace};
 use semper_base::msg::{Outbox, Payload, SysReply, Upcall, UpcallReply};
 use semper_base::{Code, Error, KernelId, MachineConfig, Msg, PeId, VpeId};
+use semper_kernel::delivery::{self, FaultCore, FaultHost, Settled};
 use semper_kernel::{Kernel, KernelStats};
 use semper_m3fs::{FsImage, FsService, FsSpec, M3FS_NAME};
 use semper_noc::{GlobalMemory, Mesh, Noc};
-use semper_sim::{Cycles, FaultPlan, FaultStats, NetVerdict, PeSchedule};
+use semper_sim::{Cycles, FaultPlan, FaultStats, PeSchedule};
 
 use crate::topology::{Role, Topology};
 
@@ -92,13 +101,10 @@ pub struct Machine {
     /// it is dispatched and every handler emission as it is scheduled,
     /// so lost-versus-parked messages can be told apart.
     trace: bool,
-    /// The scripted fault plan ([`Machine::set_fault_plan`]); `None`
-    /// (the default) is the fault-free machine, bit-identical to before
-    /// the fault engine existed.
-    fault_plan: Option<FaultPlan>,
-    /// Kernels taken down by a scripted crash; traffic to their PE
-    /// drops.
-    dead_kernels: BTreeSet<KernelId>,
+    /// The armed fault plan ([`Machine::set_fault_plan`]); `None` (the
+    /// default) is the fault-free machine, bit-identical to before the
+    /// fault engine existed.
+    fault: Option<Box<FaultCore>>,
 }
 
 /// A group migration whose handover window is open: returned by
@@ -283,8 +289,7 @@ impl Machine {
             scratch: Outbox::new(),
             credit_scratch: Outbox::new(),
             trace: std::env::var_os("MACHINE_TRACE").is_some(),
-            fault_plan: None,
-            dead_kernels: BTreeSet::new(),
+            fault: None,
         };
         if let Some(depth) = nginx_depth {
             m.assign_loadgen_targets(depth);
@@ -381,46 +386,54 @@ impl Machine {
             Some(d) => self.sched.pop_ready_before(d),
         };
         let Some((t, pe, msg)) = popped else { return false };
-        // The fault plan's NoC-boundary verdicts (see `semper_sim::faults`)
-        // apply at delivery: drop, duplicate, re-delay, or kill traffic
-        // to a crashed island. `None` verdict = deliver normally.
-        if self.fault_plan.is_some() && !self.deliver_verdict(t, pe, &msg) {
+        if self.fault.is_none() {
+            self.dispatch(t, pe, &msg, None);
             return true;
         }
+        // The plan's verdict applies at delivery, `now` being the
+        // delivery cycle.
+        let mut core = self.fault.take().expect("checked above");
+        if core.admit(self, &msg, t.0) {
+            self.dispatch(t, pe, &msg, Some(&mut core));
+        }
+        self.fault = Some(core);
+        true
+    }
+
+    /// Runs the handler of the node on `pe` for a message delivered at
+    /// `t` and injects its output. Under a fault plan, `fault` settles
+    /// the handler (crash, credit) and polls deadlines at its end.
+    #[inline]
+    fn dispatch(&mut self, t: Cycles, pe: usize, msg: &Msg, mut fault: Option<&mut FaultCore>) {
         if self.trace {
             eprintln!("[{t}] {} -> {} (pe {pe}): {:?}", msg.src, msg.dst, msg.payload);
         }
         debug_assert!(self.scratch.is_empty() && self.credit_scratch.is_empty());
         let cost = match &mut self.nodes[pe] {
-            Node::Kernel(k) => k.handle(&msg, &mut self.scratch),
-            Node::Service(s) => s.handle(&msg, &mut self.scratch),
-            Node::Client(c) => c.handle(&msg, &mut self.scratch),
-            Node::Server(s) => s.handle(&msg, &mut self.scratch),
-            Node::LoadGen(l) => l.handle(&msg, &mut self.scratch),
-            Node::Stub(stub) => handle_stub(stub, &msg, &mut self.scratch, t, &self.cfg.cost),
+            Node::Kernel(k) => k.handle(msg, &mut self.scratch),
+            Node::Service(s) => s.handle(msg, &mut self.scratch),
+            Node::Client(c) => c.handle(msg, &mut self.scratch),
+            Node::Server(s) => s.handle(msg, &mut self.scratch),
+            Node::LoadGen(l) => l.handle(msg, &mut self.scratch),
+            Node::Stub(stub) => handle_stub(stub, msg, &mut self.scratch, t, &self.cfg.cost),
             Node::Idle => 0,
         };
         let end = t + cost;
         self.sched.set_busy(pe, end);
-        if self.fault_plan.is_some() {
-            if let Node::Kernel(k) = &self.nodes[pe] {
-                if k.crashed() {
-                    // The scripted crash point fired inside this handler:
-                    // the island dies with the handler's output unsent,
-                    // and every survivor runs peer-death detection.
-                    let dead = k.id();
-                    self.scratch.drain_iter().for_each(drop);
-                    self.kernel_down(dead, end);
-                    return true;
-                }
+        let credit = match fault.as_deref_mut().map(|core| core.settle(self, msg, end.0)) {
+            None => true,
+            Some(Settled::Consumed { credit }) => credit,
+            Some(Settled::Crashed) => {
+                self.scratch.drain_iter().for_each(drop);
+                return;
             }
-        }
+        };
         // DTU slot tracking (§4.1): consuming an inter-kernel request
         // frees the slot, returning the sender's credit. This is a
         // hardware-level exchange, so it does not occupy the sender's
         // kernel CPU. Credit traffic is injected before the handler's
         // output, as it was when each used a throwaway outbox.
-        if matches!(msg.payload, Payload::Kcall(_)) {
+        if credit && matches!(msg.payload, Payload::Kcall(_)) {
             let dst_kernel = self.topo.kernel_of(msg.dst);
             let src_pe = msg.src.idx();
             if let Node::Kernel(k) = &mut self.nodes[src_pe] {
@@ -461,10 +474,9 @@ impl Machine {
             }
             self.sched.schedule(delivery, dst, m);
         }
-        if self.fault_plan.is_some() {
-            self.poll_fault_deadlines(end);
+        if let Some(core) = fault {
+            core.poll(self, end.0);
         }
-        true
     }
 
     /// Runs until no events remain; returns the final time. Under a
@@ -533,26 +545,17 @@ impl Machine {
     /// machine is bit-identical to one built before the fault engine
     /// existed.
     pub fn set_fault_plan(&mut self, plan: FaultPlan, deadline_budget: u64) {
-        for pe in 0..self.cfg.num_pes {
-            if let Node::Kernel(k) = &mut self.nodes[pe as usize] {
-                k.enable_fault_injection(deadline_budget);
-                let points = plan.crash_points(k.id().0);
-                if !points.is_empty() {
-                    k.arm_crash_points(points);
-                }
-            }
-        }
-        self.fault_plan = Some(plan);
+        self.fault = Some(Box::new(FaultCore::arm(self, plan, deadline_budget)));
     }
 
     /// The armed plan's NoC-level fault counters, if a plan is set.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.fault_plan.as_ref().map(|p| p.stats())
+        self.fault.as_ref().map(|f| f.stats())
     }
 
     /// Kernels taken down by scripted crashes.
     pub fn dead_kernels(&self) -> &BTreeSet<KernelId> {
-        &self.dead_kernels
+        delivery::dead_kernels(self.fault.as_deref())
     }
 
     /// Asserts that every surviving kernel reached true quiescence
@@ -561,139 +564,7 @@ impl Machine {
     /// termination property of the fault engine. Call after
     /// [`Machine::run_until_idle`].
     pub fn assert_quiescent(&self) {
-        for pe in 0..self.cfg.num_pes {
-            if let Node::Kernel(k) = &self.nodes[pe as usize] {
-                if self.dead_kernels.contains(&k.id()) {
-                    continue;
-                }
-                k.check_quiescent().unwrap_or_else(|e| panic!("not quiescent: {e}"));
-            }
-        }
-    }
-
-    /// The kernel hosted on `pe`, if that PE is a kernel PE.
-    fn kernel_role(&self, pe: PeId) -> Option<KernelId> {
-        match self.topo.roles.get(pe.idx()) {
-            Some(Role::Kernel(k)) => Some(*k),
-            _ => None,
-        }
-    }
-
-    /// Applies the fault plan to one popped event. Returns true when the
-    /// message should be delivered normally; false when the fault path
-    /// consumed it (dropped, delayed, or addressed to a dead island).
-    fn deliver_verdict(&mut self, t: Cycles, pe: usize, msg: &Msg) -> bool {
-        let dst_kernel = self.kernel_role(msg.dst);
-        // Traffic to a crashed island vanishes. A request's DTU slot at
-        // the dead end is gone with it; release the sender's credit so
-        // its queue towards the corpse keeps draining (those ops abort
-        // via peer-death or their deadlines).
-        if let Some(dk) = dst_kernel {
-            if self.dead_kernels.contains(&dk) {
-                self.return_credit_faulted(msg, t);
-                return false;
-            }
-        }
-        // The plan's verdicts apply to the inter-kernel NoC boundary
-        // only: requests and replies between two kernel islands.
-        let (Some(from), Some(to)) = (self.kernel_role(msg.src), dst_kernel) else {
-            return true;
-        };
-        if !matches!(msg.payload, Payload::Kcall(_) | Payload::KReply(_)) {
-            return true;
-        }
-        let verdict = match self.fault_plan.as_mut() {
-            Some(p) => p.verdict(from.0, to.0, t.0),
-            None => NetVerdict::Deliver,
-        };
-        match verdict {
-            NetVerdict::Deliver => true,
-            NetVerdict::Drop => {
-                // Lost *after* the wire: the slot counts as consumed so
-                // credit accounting cannot deadlock the sender.
-                self.return_credit_faulted(msg, t);
-                false
-            }
-            NetVerdict::Duplicate => {
-                // Deliver now and once more later; the copy takes its
-                // own verdict when it surfaces.
-                self.sched.schedule(t, pe, msg.clone());
-                true
-            }
-            NetVerdict::Delay(d) => {
-                self.sched.schedule(t + d, pe, msg.clone());
-                false
-            }
-        }
-    }
-
-    /// Releases the sender's DTU credit for a request that was dropped
-    /// instead of delivered, injecting whatever queued traffic the
-    /// freed slot releases.
-    fn return_credit_faulted(&mut self, msg: &Msg, at: Cycles) {
-        if !matches!(msg.payload, Payload::Kcall(_)) {
-            return;
-        }
-        let Some(from) = self.kernel_role(msg.src) else { return };
-        let Some(to) = self.kernel_role(msg.dst) else { return };
-        if self.dead_kernels.contains(&from) {
-            return;
-        }
-        debug_assert!(self.credit_scratch.is_empty());
-        if let Node::Kernel(k) = &mut self.nodes[msg.src.idx()] {
-            k.return_credit(&mut self.credit_scratch, to);
-        }
-        for (m, _) in self.credit_scratch.drain_iter() {
-            let delivery = self.noc.route(&m, at);
-            let dst = m.dst.idx();
-            self.sched.schedule(delivery, dst, m);
-        }
-    }
-
-    /// Takes a crashed kernel down: marks it dead and runs peer-death
-    /// detection on every survivor (in kernel-id order), so their
-    /// in-flight operations towards the corpse abort.
-    fn kernel_down(&mut self, dead: KernelId, at: Cycles) {
-        self.dead_kernels.insert(dead);
-        for k in 0..self.cfg.kernels {
-            let k = KernelId(k);
-            if self.dead_kernels.contains(&k) {
-                continue;
-            }
-            let pe = self.topo.membership.kernel_pe(k);
-            let mut out = Outbox::new();
-            if let Node::Kernel(kn) = &mut self.nodes[pe.idx()] {
-                kn.peer_down(dead, &mut out);
-            }
-            self.send_at(out.drain(), at);
-        }
-    }
-
-    /// Runs every surviving kernel's deadline poll at fault-clock `at`
-    /// (in kernel-id order) and injects whatever the aborts produced.
-    fn poll_fault_deadlines(&mut self, at: Cycles) {
-        for k in 0..self.cfg.kernels {
-            let k = KernelId(k);
-            if self.dead_kernels.contains(&k) {
-                continue;
-            }
-            let pe = self.topo.membership.kernel_pe(k);
-            let mut out = Outbox::new();
-            let crashed = match &mut self.nodes[pe.idx()] {
-                Node::Kernel(kn) => {
-                    kn.poll_faults(at.0, &mut out);
-                    kn.crashed()
-                }
-                _ => false,
-            };
-            if crashed {
-                // A crash point on an abort path (e.g. a re-park).
-                drop(out);
-                self.kernel_down(k, at);
-                continue;
-            }
-            self.send_at(out.drain(), at);
-        }
+        delivery::assert_quiescent(self, self.dead_kernels());
     }
 
     /// With the event queue quiet, jumps the fault clock to the earliest
@@ -702,31 +573,14 @@ impl Machine {
     /// Returns true when a deadline fired (the caller keeps stepping);
     /// always false without a fault plan.
     fn pump_fault_deadlines(&mut self, horizon: Option<Cycles>) -> bool {
-        if self.fault_plan.is_none() {
-            return false;
+        let Some(mut core) = self.fault.take() else { return false };
+        let due = core.next_deadline(self).filter(|d| horizon.is_none_or(|h| *d <= h.0));
+        if let Some(deadline) = due {
+            let at = Cycles(deadline).max(self.sched.now());
+            core.poll(self, at.0);
         }
-        let mut next: Option<u64> = None;
-        for k in 0..self.cfg.kernels {
-            let k = KernelId(k);
-            if self.dead_kernels.contains(&k) {
-                continue;
-            }
-            let pe = self.topo.membership.kernel_pe(k);
-            if let Node::Kernel(kn) = &self.nodes[pe.idx()] {
-                if let Some(d) = kn.next_fault_deadline() {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-            }
-        }
-        let Some(deadline) = next else { return false };
-        if let Some(h) = horizon {
-            if deadline > h.0 {
-                return false;
-            }
-        }
-        let at = Cycles(deadline).max(self.sched.now());
-        self.poll_fault_deadlines(at);
-        true
+        self.fault = Some(core);
+        due.is_some()
     }
 
     // ----- boot ------------------------------------------------------------
@@ -1046,7 +900,7 @@ impl Machine {
     pub fn check_invariants(&self) {
         for pe in 0..self.cfg.num_pes {
             if let Node::Kernel(k) = &self.nodes[pe as usize] {
-                if self.dead_kernels.contains(&k.id()) {
+                if self.dead_kernels().contains(&k.id()) {
                     continue;
                 }
                 k.check_invariants().unwrap_or_else(|e| panic!("kernel {}: {e}", k.id()));
@@ -1082,6 +936,40 @@ impl Machine {
             Node::Kernel(k) => k,
             _ => unreachable!("kernel PE hosts a kernel"),
         }
+    }
+}
+
+impl FaultHost for Machine {
+    fn kernel_count(&self) -> u16 {
+        self.cfg.kernels
+    }
+
+    fn kernel_on(&self, pe: PeId) -> Option<KernelId> {
+        match self.topo.roles.get(pe.idx()) {
+            Some(Role::Kernel(k)) => Some(*k),
+            _ => None,
+        }
+    }
+
+    fn kernel(&self, k: KernelId) -> &Kernel {
+        Machine::kernel(self, k)
+    }
+
+    fn kernel_mut(&mut self, k: KernelId) -> &mut Kernel {
+        let pe = self.topo.membership.kernel_pe(k);
+        match &mut self.nodes[pe.idx()] {
+            Node::Kernel(kn) => kn,
+            _ => unreachable!("kernel PE hosts a kernel"),
+        }
+    }
+
+    fn inject(&mut self, out: &mut Outbox, at: u64) {
+        self.send_at(out.drain(), Cycles(at));
+    }
+
+    fn redeliver(&mut self, msg: Msg, at: u64) {
+        let dst = msg.dst.idx();
+        self.sched.schedule(Cycles(at), dst, msg);
     }
 }
 

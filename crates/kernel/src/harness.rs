@@ -9,6 +9,13 @@
 //! The stubs auto-accept exchanges and sessions unless told otherwise,
 //! and the queue can be stepped one message at a time to construct the
 //! exact interleavings of Table 2.
+//!
+//! Under a fault plan the cluster runs the same fault rules as the
+//! timed machine: both drive the shared core in [`crate::delivery`].
+//! The cluster only supplies its clock — one tick per
+//! [`TestCluster::step`], so a plan's delays, partition windows and
+//! deadline budgets count steps — and its re-injection: duplicates go
+//! to the back of the queue, delayed messages to a release list.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -17,8 +24,9 @@ use semper_base::msg::{Payload, SysReply, Syscall, Upcall, UpcallReply};
 use semper_base::{Error, KernelId, Msg, PeId, VpeId};
 use semper_caps::MembershipTable;
 use semper_noc::GlobalMemory;
-use semper_sim::{FaultPlan, NetVerdict};
+use semper_sim::FaultPlan;
 
+use crate::delivery::{self, FaultCore, FaultHost, Settled};
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
 
@@ -41,9 +49,9 @@ pub struct TestCluster {
     /// full payload) — the protocol-trace fingerprint used by the
     /// trace-equivalence tests.
     trace: Option<Vec<String>>,
-    /// The scripted fault plan, when this cluster runs under fault
+    /// The armed fault plan, when this cluster runs under fault
     /// injection (see [`TestCluster::set_fault_plan`]).
-    fault_plan: Option<FaultPlan>,
+    fault: Option<Box<FaultCore>>,
     /// Delayed messages as `(release_step, seq, msg)`; `seq` preserves
     /// submission order among messages released at the same step.
     delayed: Vec<(u64, u64, Msg)>,
@@ -51,9 +59,6 @@ pub struct TestCluster {
     /// The fault clock: one tick per [`TestCluster::step`] in fault
     /// mode (plus quiet-network jumps to the next deadline).
     fault_step: u64,
-    /// Kernels taken down by a scripted crash; all traffic to their
-    /// island drops.
-    dead_islands: BTreeSet<KernelId>,
 }
 
 impl TestCluster {
@@ -104,11 +109,10 @@ impl TestCluster {
             next_session_ident: 1,
             tag_counter: 0,
             trace: None,
-            fault_plan: None,
+            fault: None,
             delayed: Vec::new(),
             delay_seq: 0,
             fault_step: 0,
-            dead_islands: BTreeSet::new(),
         }
     }
 
@@ -152,9 +156,7 @@ impl TestCluster {
         let k = self.kernel_of(vpe);
         let mut out = Outbox::new();
         self.kernels[k.idx()].kill_vpe(vpe, &mut out);
-        for (m, _) in out.drain() {
-            self.queue.push_back(m);
-        }
+        self.inject(&mut out, self.fault_step);
     }
 
     /// Starts migrating `vpe`'s capability group to kernel `dst`
@@ -165,9 +167,7 @@ impl TestCluster {
         let src = self.kernel_of(vpe);
         let mut out = Outbox::new();
         self.kernels[src.idx()].start_group_migration(vpe, dst, &mut out)?;
-        for (m, _) in out.drain() {
-            self.queue.push_back(m);
-        }
+        self.inject(&mut out, self.fault_step);
         Ok(src)
     }
 
@@ -240,13 +240,15 @@ impl TestCluster {
     /// delay buffer to be empty and no pending-op deadline to be armed:
     /// a fault run is only over once every op completed or aborted.
     pub fn step(&mut self) -> bool {
-        if self.fault_plan.is_some() {
-            return self.step_faulted();
+        if let Some(mut core) = self.fault.take() {
+            let busy = self.step_faulted(&mut core);
+            self.fault = Some(core);
+            return busy;
         }
         let Some(msg) = self.queue.pop_front() else {
             return false;
         };
-        self.dispatch(msg);
+        self.dispatch(msg, None);
         true
     }
 
@@ -276,10 +278,7 @@ impl TestCluster {
     /// Checks invariants on every kernel (crashed islands excluded —
     /// their state froze mid-operation by design).
     pub fn check_invariants(&self) {
-        for k in &self.kernels {
-            if self.dead_islands.contains(&k.id()) {
-                continue;
-            }
+        for k in self.kernels.iter().filter(|k| self.kernel_alive(k.id())) {
             k.check_invariants().unwrap_or_else(|e| panic!("kernel {}: {e}", k.id()));
         }
     }
@@ -291,29 +290,22 @@ impl TestCluster {
     /// runs fault-tolerant with per-pending-op deadlines of
     /// `deadline_budget` steps. Must be set before the workload starts.
     pub fn set_fault_plan(&mut self, plan: FaultPlan, deadline_budget: u64) {
-        for k in &mut self.kernels {
-            k.enable_fault_injection(deadline_budget);
-            let points = plan.crash_points(k.id().0);
-            if !points.is_empty() {
-                k.arm_crash_points(points);
-            }
-        }
-        self.fault_plan = Some(plan);
+        self.fault = Some(Box::new(FaultCore::arm(self, plan, deadline_budget)));
     }
 
     /// The armed plan's NoC-level fault counters, if a plan is set.
     pub fn fault_stats(&self) -> Option<&semper_sim::FaultStats> {
-        self.fault_plan.as_ref().map(|p| p.stats())
+        self.fault.as_ref().map(|f| f.stats())
     }
 
     /// Kernels taken down by scripted crashes.
     pub fn dead_kernels(&self) -> &BTreeSet<KernelId> {
-        &self.dead_islands
+        delivery::dead_kernels(self.fault.as_deref())
     }
 
     /// True if this kernel is still up.
     pub fn kernel_alive(&self, k: KernelId) -> bool {
-        !self.dead_islands.contains(&k)
+        !self.dead_kernels().contains(&k)
     }
 
     /// Asserts that the cluster reached true quiescence: no queued or
@@ -323,45 +315,33 @@ impl TestCluster {
     pub fn assert_quiescent(&self) {
         assert!(self.queue.is_empty(), "{} messages still queued", self.queue.len());
         assert!(self.delayed.is_empty(), "{} messages still delayed", self.delayed.len());
-        for k in &self.kernels {
-            if self.dead_islands.contains(&k.id()) {
-                continue;
-            }
-            k.check_quiescent().unwrap_or_else(|e| panic!("not quiescent: {e}"));
-        }
+        delivery::assert_quiescent(self, self.dead_kernels());
     }
 
     /// One step of the faulted cluster: advance the fault clock, release
-    /// due delayed messages, deliver one message through the plan's
-    /// verdict, then poll every surviving kernel's deadlines. With the
-    /// network quiet, the clock jumps to the next armed deadline so
-    /// starved operations abort instead of hanging the run.
-    fn step_faulted(&mut self) -> bool {
+    /// due delayed messages, deliver one message through the core's
+    /// verdict, then poll the survivors' deadlines. With the network
+    /// quiet, the clock jumps to the next delayed release or, failing
+    /// that, to the next armed deadline, so starved operations abort
+    /// instead of hanging the run.
+    fn step_faulted(&mut self, core: &mut FaultCore) -> bool {
         self.fault_step += 1;
         self.release_delayed();
-        let Some(msg) = self.queue.pop_front() else {
-            // Quiet network: jump the clock forward. First to the next
-            // delayed release, otherwise to the earliest deadline.
-            if let Some(release) = self.delayed.iter().map(|(r, _, _)| *r).min() {
-                self.fault_step = self.fault_step.max(release);
-                self.release_delayed();
-                return true;
+        if let Some(msg) = self.queue.pop_front() {
+            if core.admit(self, &msg, self.fault_step) {
+                self.dispatch(msg, Some(core));
             }
-            let next = self
-                .kernels
-                .iter()
-                .filter(|k| !self.dead_islands.contains(&k.id()))
-                .filter_map(|k| k.next_fault_deadline())
-                .min();
-            let Some(deadline) = next else {
+        } else if let Some(release) = self.delayed.iter().map(|(r, _, _)| *r).min() {
+            self.fault_step = self.fault_step.max(release);
+            self.release_delayed();
+            return true;
+        } else {
+            let Some(deadline) = core.next_deadline(self) else {
                 return false;
             };
             self.fault_step = self.fault_step.max(deadline);
-            self.poll_fault_deadlines();
-            return true;
-        };
-        self.deliver_faulted(msg);
-        self.poll_fault_deadlines();
+        }
+        core.poll(self, self.fault_step);
         true
     }
 
@@ -387,167 +367,36 @@ impl TestCluster {
         }
     }
 
-    /// Runs every surviving kernel's deadline poll (in kernel-id order)
-    /// and injects whatever the aborts produced.
-    fn poll_fault_deadlines(&mut self) {
-        for kidx in 0..self.kernels.len() {
-            if self.dead_islands.contains(&self.kernels[kidx].id()) {
-                continue;
-            }
-            let mut out = Outbox::new();
-            self.kernels[kidx].poll_faults(self.fault_step, &mut out);
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
-            if self.kernels[kidx].crashed() {
-                // A crash point on an abort path (e.g. a re-park).
-                self.kernel_down(kidx);
-            }
-        }
-    }
-
-    /// Delivers one message under the fault plan: traffic to dead
-    /// islands drops (with the sender's DTU credit released), and
-    /// inter-kernel messages take the plan's verdict. Everything else
-    /// behaves exactly like the fault-free dispatch.
-    fn deliver_faulted(&mut self, msg: Msg) {
-        let src_kidx = self.kernels.iter().position(|k| k.pe() == msg.src);
-        let dst_kidx = self.kernels.iter().position(|k| k.pe() == msg.dst);
-        // Traffic addressed to a crashed island vanishes. A request's
-        // DTU slot at the dead end is gone with it; release the
-        // sender's credit so its queue towards the corpse keeps
-        // draining (those requests abort via peer-death or deadline).
-        if let Some(didx) = dst_kidx {
-            let dead_dst = self.dead_islands.contains(&self.kernels[didx].id());
-            if dead_dst {
-                if matches!(msg.payload, Payload::Kcall(_)) {
-                    if let Some(sidx) = src_kidx {
-                        if !self.dead_islands.contains(&self.kernels[sidx].id()) {
-                            let dst_kernel = self.kernels[didx].id();
-                            let mut out = Outbox::new();
-                            self.kernels[sidx].return_credit(&mut out, dst_kernel);
-                            for (m, _) in out.drain() {
-                                self.queue.push_back(m);
-                            }
-                        }
-                    }
-                }
-                return;
-            }
-        }
-        // The plan's verdict applies to the inter-kernel NoC boundary
-        // only: requests and replies between two kernel islands.
-        if let (Some(sidx), Some(didx)) = (src_kidx, dst_kidx) {
-            if matches!(msg.payload, Payload::Kcall(_) | Payload::KReply(_)) {
-                let from = self.kernels[sidx].id().0;
-                let to = self.kernels[didx].id().0;
-                let now = self.fault_step;
-                let verdict = self
-                    .fault_plan
-                    .as_mut()
-                    .map(|p| p.verdict(from, to, now))
-                    .unwrap_or(NetVerdict::Deliver);
-                match verdict {
-                    NetVerdict::Deliver => {}
-                    NetVerdict::Drop => {
-                        // The message is lost *after* the wire: treat
-                        // the slot as consumed so credit accounting
-                        // cannot deadlock the sender.
-                        if matches!(msg.payload, Payload::Kcall(_)) {
-                            let dst_kernel = self.kernels[didx].id();
-                            let mut out = Outbox::new();
-                            self.kernels[sidx].return_credit(&mut out, dst_kernel);
-                            for (m, _) in out.drain() {
-                                self.queue.push_back(m);
-                            }
-                        }
-                        return;
-                    }
-                    NetVerdict::Duplicate => {
-                        // Deliver now and once more later; the copy
-                        // takes its own verdict when it surfaces.
-                        self.queue.push_back(msg.clone());
-                    }
-                    NetVerdict::Delay(d) => {
-                        let seq = self.delay_seq;
-                        self.delay_seq += 1;
-                        self.delayed.push((self.fault_step + d, seq, msg));
-                        return;
-                    }
-                }
-            }
-        }
-        if let Some(didx) = dst_kidx {
-            if let Some(trace) = &mut self.trace {
-                trace.push(format!("{}->{} {:?}", msg.src, msg.dst, msg.payload));
-            }
-            let mut out = Outbox::new();
-            self.kernels[didx].handle(&msg, &mut out);
-            if self.kernels[didx].crashed() {
-                // The scripted crash point fired *inside* this handler:
-                // the island dies with the handler's output unsent.
-                drop(out);
-                self.kernel_down(didx);
-                return;
-            }
-            if matches!(msg.payload, Payload::Kcall(_)) {
-                let dst_kernel = self.kernels[didx].id();
-                if let Some(sidx) = src_kidx {
-                    if !self.dead_islands.contains(&self.kernels[sidx].id()) {
-                        self.kernels[sidx].return_credit(&mut out, dst_kernel);
-                    }
-                }
-            }
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
-            return;
-        }
-        self.dispatch(msg);
-    }
-
-    /// Takes a crashed kernel's island down: marks it dead and runs
-    /// peer-death detection on every survivor (in kernel-id order), so
-    /// their in-flight operations towards the corpse abort.
-    fn kernel_down(&mut self, kidx: usize) {
-        let dead = self.kernels[kidx].id();
-        self.dead_islands.insert(dead);
-        for i in 0..self.kernels.len() {
-            if i == kidx || self.dead_islands.contains(&self.kernels[i].id()) {
-                continue;
-            }
-            let mut out = Outbox::new();
-            self.kernels[i].peer_down(dead, &mut out);
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
-        }
-    }
-
     /// Total capabilities across all mapping databases.
     pub fn total_caps(&self) -> usize {
         self.kernels.iter().map(|k| k.mapdb().len()).sum()
     }
 
-    fn dispatch(&mut self, msg: Msg) {
+    /// Delivers one message to its kernel or stub VPE. Under a fault
+    /// plan, `fault` settles the kernel handler (crash, credit).
+    fn dispatch(&mut self, msg: Msg, fault: Option<&mut FaultCore>) {
         if let Some(trace) = &mut self.trace {
             trace.push(format!("{}->{} {:?}", msg.src, msg.dst, msg.payload));
         }
         // Kernel PE?
-        if let Some(kidx) = self.kernels.iter().position(|k| k.pe() == msg.dst) {
+        if let Some(k) = self.kernel_on(msg.dst) {
             let mut out = Outbox::new();
-            self.kernels[kidx].handle(&msg, &mut out);
+            self.kernels[k.idx()].handle(&msg, &mut out);
+            let credit = match fault {
+                None => true,
+                Some(core) => match core.settle(self, &msg, self.fault_step) {
+                    Settled::Crashed => return,
+                    Settled::Consumed { credit } => credit,
+                },
+            };
             // DTU slot tracking: consuming an inter-kernel request frees
             // the sender's credit (see Kernel::return_credit).
-            if matches!(msg.payload, Payload::Kcall(_)) {
-                let dst_kernel = self.kernels[kidx].id();
-                if let Some(src_idx) = self.kernels.iter().position(|k| k.pe() == msg.src) {
-                    self.kernels[src_idx].return_credit(&mut out, dst_kernel);
+            if credit && matches!(msg.payload, Payload::Kcall(_)) {
+                if let Some(src) = self.kernel_on(msg.src) {
+                    self.kernels[src.idx()].return_credit(&mut out, k);
                 }
             }
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
+            self.inject(&mut out, self.fault_step);
             return;
         }
         // VPE stub.
@@ -584,6 +433,37 @@ impl TestCluster {
     }
 }
 
+impl FaultHost for TestCluster {
+    fn kernel_count(&self) -> u16 {
+        self.kernels.len() as u16
+    }
+
+    fn kernel_on(&self, pe: PeId) -> Option<KernelId> {
+        self.kernels.iter().find(|k| k.pe() == pe).map(|k| k.id())
+    }
+
+    fn kernel(&self, k: KernelId) -> &Kernel {
+        &self.kernels[k.idx()]
+    }
+
+    fn kernel_mut(&mut self, k: KernelId) -> &mut Kernel {
+        &mut self.kernels[k.idx()]
+    }
+
+    fn inject(&mut self, out: &mut Outbox, _at: u64) {
+        self.queue.extend(out.drain_iter().map(|(m, _)| m));
+    }
+
+    fn redeliver(&mut self, msg: Msg, at: u64) {
+        if at > self.fault_step {
+            self.delayed.push((at, self.delay_seq, msg));
+            self.delay_seq += 1;
+        } else {
+            self.queue.push_back(msg);
+        }
+    }
+}
+
 impl Drop for TestCluster {
     /// Every fault-injected cluster must be driven to true quiescence
     /// before it goes away — a test that forgets to pump is exactly the
@@ -592,7 +472,7 @@ impl Drop for TestCluster {
     /// abandoning them is the harness's whole job), as is teardown
     /// during an unwind from an unrelated failure.
     fn drop(&mut self) {
-        if self.fault_plan.is_some() && !std::thread::panicking() {
+        if self.fault.is_some() && !std::thread::panicking() {
             self.assert_quiescent();
         }
     }

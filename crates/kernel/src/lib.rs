@@ -32,6 +32,7 @@
 //! never exceeded) as a checked invariant, derived from each phase's
 //! declared spec.
 
+pub mod delivery;
 pub mod epbind;
 pub mod gates;
 pub mod harness;

@@ -1,5 +1,4 @@
-//! Fault tolerance for the ops engine
-//! ([`Feature::FaultInjection`](semper_base::config::Feature::FaultInjection)).
+//! Fault tolerance for the ops engine.
 //!
 //! A lossy NoC (see `semper_sim::faults`) breaks the engine's core
 //! assumption that every request eventually produces exactly one reply.
@@ -9,7 +8,9 @@
 //! leaked ledger entry.
 //!
 //! Three mechanisms, all inert unless [`Kernel::enable_fault_injection`]
-//! was called (so the default configuration stays bit-identical):
+//! was called — arming a fault plan on a driver is the only switch
+//! (see [`crate::delivery`]), so the default configuration stays
+//! bit-identical:
 //!
 //! * **Deadlines.** Every parked phase (except the purely local batch
 //!   tracker) is armed with an expiry on the harness-advanced fault
@@ -86,8 +87,7 @@ impl Kernel {
     /// per-pending-op deadlines of `deadline_budget` fault-clock ticks
     /// and softens the duplicate-message asserts into counters. The
     /// harness must then advance the clock via [`Kernel::poll_faults`].
-    pub fn enable_fault_injection(&mut self, deadline_budget: u64) {
-        self.enable_feature_for_test(semper_base::Feature::FaultInjection);
+    pub(crate) fn enable_fault_injection(&mut self, deadline_budget: u64) {
         self.fault.enabled = true;
         self.fault.deadline_budget = deadline_budget;
     }
@@ -95,21 +95,21 @@ impl Kernel {
     /// Installs this kernel's scripted crash points (phase name and
     /// which park of that phase triggers the crash), from
     /// `FaultPlan::crash_points`.
-    pub fn arm_crash_points(&mut self, points: Vec<(&'static str, u32)>) {
+    pub(crate) fn arm_crash_points(&mut self, points: Vec<(&'static str, u32)>) {
         self.fault.crash_script = points;
     }
 
     /// True once a scripted crash point fired. The harness treats the
     /// kernel as dead from the dispatch that tripped it: that handler's
     /// outbox is discarded and all later traffic to the island drops.
-    pub fn crashed(&self) -> bool {
+    pub(crate) fn crashed(&self) -> bool {
         self.fault.crashed
     }
 
     /// The earliest armed deadline, if any — the harness jumps the
     /// fault clock here when the network goes quiet, so starved ops
     /// abort instead of hanging the run.
-    pub fn next_fault_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_fault_deadline(&self) -> Option<u64> {
         self.fault.deadlines.values().copied().min()
     }
 
@@ -162,7 +162,7 @@ impl Kernel {
     /// op-id order: ops with retry budget re-send their recorded legs
     /// (skipping dead peers) and re-arm; everything else aborts.
     /// Returns the modeled cost of the abort work.
-    pub fn poll_faults(&mut self, now: u64, out: &mut Outbox) -> u64 {
+    pub(crate) fn poll_faults(&mut self, now: u64, out: &mut Outbox) -> u64 {
         if !self.fault.enabled {
             return 0;
         }
@@ -216,7 +216,7 @@ impl Kernel {
     /// and aborts every pending op waiting on it (in op-id order, so
     /// the abort replies leave deterministically). The harness calls
     /// this on every surviving kernel when a scripted crash fires.
-    pub fn peer_down(&mut self, dead: KernelId, out: &mut Outbox) -> u64 {
+    pub(crate) fn peer_down(&mut self, dead: KernelId, out: &mut Outbox) -> u64 {
         if !self.fault.enabled || self.fault.dead_peers.contains(&dead) {
             return 0;
         }

@@ -52,8 +52,8 @@
 //! A promise always resolves to a real `Ok`/`Err` — never a silent
 //! hang. VPE death tears down its promises ([`Kernel::teardown_promises`]),
 //! revoking the promise selector severs the *handle* (the underlying
-//! invocation still lands, into a dropped slot), and under
-//! `Feature::FaultInjection` every parked phase above carries a per-op
+//! invocation still lands, into a dropped slot), and under an armed
+//! fault plan every parked phase above carries a per-op
 //! deadline, so dropped `Resolve` legs or a crashed peer kernel abort
 //! the promise with `Err(Timeout)` through the ordinary fault engine.
 

@@ -287,7 +287,14 @@ impl Kernel {
 
         for root in roots {
             if !self.mapdb.contains(root) {
-                // Already revoked and deleted — vacuously complete.
+                // A peer's child (`own = false` on a spanning cap) is
+                // revoked at its owner, like `mark_subtree`'s remote
+                // children; a local one is already deleted.
+                let owner = self.membership.kernel_of_key(root);
+                if owner != self.id {
+                    cost += self.ref_cost();
+                    remote.push((owner, root));
+                }
                 continue;
             }
             if self.mapdb.get(root).expect("checked").revoking() {

@@ -77,12 +77,12 @@ pub struct KernelStats {
     /// High-water mark of frontier-expansion rounds in one sweep — the
     /// cross-kernel depth of the deepest swept subtree.
     pub sweep_depth: u64,
-    /// Idempotent request legs re-sent after a deadline expired
-    /// (`Feature::FaultInjection` only).
+    /// Idempotent request legs re-sent after a deadline expired (under
+    /// an armed fault plan only).
     pub retries: u64,
     /// Pending operations aborted with `Err` — deadline expiry with no
-    /// retry budget left, or a peer kernel declared dead
-    /// (`Feature::FaultInjection` only).
+    /// retry budget left, or a peer kernel declared dead (under an armed
+    /// fault plan only).
     pub ops_aborted: u64,
     /// Protocol anomalies absorbed under fault injection: replies for
     /// unknown ops, duplicate fan-in completions, duplicate delete

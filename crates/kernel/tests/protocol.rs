@@ -176,14 +176,26 @@ fn wide_tree_revoke_across_kernels() {
 
 #[test]
 fn revoke_children_only_keeps_root() {
-    let mut c = TestCluster::new(1, 2);
-    let sel = create_mem(&mut c, VpeId(0));
-    let _ = delegate(&mut c, VpeId(0), VpeId(1), sel);
-    let r = c.syscall(VpeId(0), Syscall::Revoke { sel, own: false });
-    assert!(r.result.is_ok());
-    // Root survives, child is gone.
-    assert!(c.kernels[0].table(VpeId(0)).unwrap().get(sel).is_ok());
-    c.check_invariants();
+    // One kernel (local children) and two (children on the peer).
+    for kernels in [1u16, 2] {
+        let mut c = TestCluster::new(kernels, 3 - kernels);
+        let receiver = VpeId(1);
+        let sel = create_mem(&mut c, VpeId(0));
+        let children: Vec<CapSel> =
+            (0..3).map(|_| delegate(&mut c, VpeId(0), receiver, sel)).collect();
+        let before = c.total_caps();
+        let r = c.syscall(VpeId(0), Syscall::Revoke { sel, own: false });
+        assert!(r.result.is_ok());
+        // Root survives, every child is gone.
+        assert!(c.kernels[0].table(VpeId(0)).unwrap().get(sel).is_ok());
+        let k = c.kernel_of(receiver);
+        for child in children {
+            let table = c.kernels[k.idx()].table(receiver).unwrap();
+            assert!(table.get(child).is_err(), "{kernels} kernels: child {child} survived");
+        }
+        assert_eq!(c.total_caps(), before - 3, "{kernels} kernels");
+        c.check_invariants();
+    }
 }
 
 // ----- Table 2: interference cases -------------------------------------

@@ -2,11 +2,12 @@
 //!
 //! The five failure scenarios that `examples/failure_injection.rs`
 //! demonstrates print-only are pinned here as hard assertions, and the
-//! deterministic fault engine (`semper_sim::faults` +
-//! `Feature::FaultInjection`) gets its own scripted scenarios: a kernel
-//! crash between the mark and delete phases of a parallel sweep, a
-//! one-way network partition across a live group migration, and a
-//! drop/duplicate/delay storm over a mixed workload. Every scenario
+//! deterministic fault engine (`semper_sim::faults` plus the shared
+//! delivery core, `semper_kernel::delivery`) gets its own scripted
+//! scenarios: a kernel crash between the mark and delete phases of a
+//! parallel sweep, a one-way network partition across a live group
+//! migration, a drop/duplicate/delay storm over a mixed workload, and
+//! a crashed sender that must get no credit back. Every scenario
 //! must *terminate* — each issued operation completes or errors, the
 //! surviving kernels reach true quiescence ([`TestCluster::
 //! assert_quiescent`]), and the structural invariants hold.
@@ -472,4 +473,73 @@ fn message_storm_terminates_with_all_ops_answered() {
     assert!(fs.injected > 0, "the storm never fired");
     c.check_invariants();
     c.assert_quiescent();
+}
+
+// ----- dead senders get no credit back ----------------------------------
+
+/// A crashed kernel must stay silent: a request it sent before dying
+/// that is then lost on the NoC must not hand it a DTU credit, or it
+/// flushes its credit-stalled queue from beyond the grave. Kernel 0
+/// revokes a root with six remote children (credit-stalled past the
+/// window) and a second root with one, then crashes at the second
+/// `revoke-run` park; a 0 → 1 partition drops everything it sent.
+#[test]
+fn dropped_request_returns_no_credit_to_a_dead_sender() {
+    let mut c = TestCluster::new(2, 1);
+    let a = create_mem(&mut c, VpeId(0));
+    let b = create_mem(&mut c, VpeId(0));
+    for _ in 0..6 {
+        let _ = delegate(&mut c, VpeId(0), VpeId(1), a);
+    }
+    let _ = delegate(&mut c, VpeId(0), VpeId(1), b);
+    let plan = FaultPlan::empty()
+        .with_partition(PartitionWindow { from: 0, to: 1, start: 0, end: u64::MAX })
+        .with_crash(CrashPoint { kernel: 0, phase: "revoke-run", after_nth: 2 });
+    c.set_fault_plan(plan, 64);
+
+    c.syscall_async(VpeId(0), Syscall::Revoke { sel: a, own: true });
+    c.syscall_async(VpeId(0), Syscall::Revoke { sel: b, own: true });
+    c.pump_all();
+
+    assert!(!c.kernel_alive(KernelId(0)), "the scripted crash point never fired");
+    // Only the requests that left before the crash cross the partition;
+    // the three stalled behind the credit window die with kernel 0.
+    let fs = c.fault_stats().expect("plan installed");
+    assert_eq!(fs.partitioned, 4, "the dead kernel flushed its stalled requests");
+    c.check_invariants();
+    c.assert_quiescent();
+}
+
+/// The timed machine's twin: a request consumed by a live peer after
+/// its sender crashed must not hand the corpse a credit either. Kernel
+/// 1 holds two children of a kernel-0 root with seven grandchildren on
+/// kernel 2 each, and crashes at its second `revoke-run` park while
+/// the revocation fans out. The first child's seven requests left
+/// before the crash; the second child's seven were credit-stalled and
+/// die with kernel 1.
+#[test]
+fn consumed_request_returns_no_credit_to_a_dead_sender() {
+    let mut m = semperos::MicroMachine::new(3, 1, semper_base::KernelMode::SemperOS);
+    let (a, b, c) = (m.vpe(0, 0), m.vpe(1, 0), m.vpe(2, 0));
+    let root = m.create_mem(a);
+    for _ in 0..2 {
+        let (child, _) = m.delegate(a, b, root);
+        for _ in 0..7 {
+            let _ = m.delegate(b, c, child);
+        }
+    }
+    let deleted_before = m.machine().kernel(KernelId(2)).stats().caps_deleted;
+    let plan =
+        FaultPlan::empty().with_crash(CrashPoint { kernel: 1, phase: "revoke-run", after_nth: 2 });
+    m.machine().set_fault_plan(plan, 100_000);
+
+    m.revoke(a, root);
+    m.machine().run_until_idle();
+
+    let mm = m.machine();
+    assert!(mm.dead_kernels().contains(&KernelId(1)), "the scripted crash point never fired");
+    let deleted = mm.kernel(KernelId(2)).stats().caps_deleted - deleted_before;
+    assert_eq!(deleted, 7, "the dead kernel kept sending revoke requests");
+    mm.check_invariants();
+    mm.assert_quiescent();
 }
