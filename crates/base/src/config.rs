@@ -36,11 +36,11 @@ pub enum KernelMode {
 }
 
 /// Optional protocol features (for ablation experiments).
+///
+/// §5.2's revoke-message batching is not a flag: revokes issued as one
+/// `Syscall::Batch` always send one grouped request per remote kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
-    /// Batch revoke requests to the same remote kernel into one message
-    /// (the paper's proposed message-batching optimisation, §5.2).
-    RevokeBatching,
     /// *Disable* the two-way delegate handshake (ablation: demonstrates
     /// the invalid-capability window of the naive protocol; never enable
     /// outside the ablation benchmark).
@@ -55,16 +55,16 @@ pub enum Feature {
     /// spans several kernels (or exceeds a fan-out threshold) is driven
     /// as a two-phase mark → delete protocol with one grouped request
     /// per owning kernel, so the partitions are swept concurrently in
-    /// sim time (the GC-style parallel sweep of ROADMAP item 2). Off by
+    /// sim time (a GC-style parallel sweep, see `ops::sweep`). Off by
     /// default so every pre-existing scenario and golden stays
     /// bit-identical; the `*_parallel` bench scenarios enable it.
     ParallelSweep,
-    /// Promise-capability IPC (ROADMAP item 4): `Syscall::SubmitAsync`
-    /// returns a first-class *promise capability* immediately; the
-    /// kernel pipelines dependent calls naming an unresolved promise
-    /// (parked in the promise's resolution queue, replayed in arrival
-    /// order on resolve) and routes the `Provide`/`Resolve` legs of
-    /// cross-kernel promises through the ops engine. Off by default so
+    /// Promise-capability IPC: `Syscall::SubmitAsync` returns a
+    /// first-class *promise capability* immediately; the kernel
+    /// pipelines dependent calls naming an unresolved promise (parked in
+    /// the promise's resolution queue, replayed in arrival order on
+    /// resolve) and routes the `Provide`/`Resolve` legs of cross-kernel
+    /// promises through the ops engine. Off by default so
     /// every pre-existing golden, trace fingerprint, and bench cycle
     /// count stays bit-identical; the `*_pipelined` scenarios and the
     /// promise suites enable it.
@@ -252,8 +252,8 @@ mod tests {
 
     #[test]
     fn features_builder() {
-        let c = MachineConfig::small().with_feature(Feature::RevokeBatching);
-        assert!(c.has_feature(Feature::RevokeBatching));
+        let c = MachineConfig::small().with_feature(Feature::SyscallBatching);
+        assert!(c.has_feature(Feature::SyscallBatching));
         assert!(!c.has_feature(Feature::OneWayDelegate));
     }
 }

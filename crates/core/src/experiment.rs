@@ -191,6 +191,28 @@ impl MicroMachine {
     /// in the root's group), then revoke the root. Returns the
     /// revocation time in cycles.
     pub fn measure_tree_revoke(&mut self, children: u32, child_kernels: u16) -> u64 {
+        let (a, root) = self.build_tree(children, child_kernels);
+        self.revoke(a, root)
+    }
+
+    /// [`MicroMachine::measure_tree_revoke`] with the revoke issued as a
+    /// one-item [`Syscall::Batch`], whose fan-out sends one grouped
+    /// request per kernel instead of one per child — the message
+    /// batching §5.2 proposes. Returns the revocation time in cycles.
+    pub fn measure_tree_revoke_batched(&mut self, children: u32, child_kernels: u16) -> u64 {
+        let (a, root) = self.build_tree(children, child_kernels);
+        let call = Syscall::Batch(vec![Syscall::Revoke { sel: root, own: true }].into());
+        let (r, cycles) = self.machine.syscall_blocking(a, call);
+        match r.result {
+            Ok(SysReplyData::Batch(results)) if results.iter().all(|r| r.is_ok()) => cycles,
+            other => panic!("batched revoke failed: {other:?}"),
+        }
+    }
+
+    /// The Figure 5 tree: a root at group 0 and `children` delegated
+    /// copies (see [`MicroMachine::measure_tree_revoke`]). Returns the
+    /// root's holder and selector.
+    fn build_tree(&mut self, children: u32, child_kernels: u16) -> (VpeId, CapSel) {
         let a = self.vpe(0, 0);
         let root = self.create_mem(a);
         for c in 0..children {
@@ -202,7 +224,7 @@ impl MicroMachine {
             };
             let _ = self.delegate(a, to, root);
         }
-        self.revoke(a, root)
+        (a, root)
     }
 }
 

@@ -33,6 +33,24 @@
 //! and fail with `NoSuchCap`. Both orders leave the same final state
 //! (everything revoked); the batch reports the conservative outcome.
 //!
+//! The fold is not complete. Duplicates and roots nested through local
+//! capabilities always fold. A root nested under another root *through
+//! a peer kernel* folds only under
+//! [`Feature::ParallelSweep`](semper_base::config::Feature::ParallelSweep),
+//! where the peer's frontier bounces the key back to the coordinator,
+//! which finds it in the run's marked set. On the classic path such a
+//! run deadlocks and the batch never replies:
+//!
+//! 1. the combined operation marks the inner root as one of its own
+//!    roots;
+//! 2. the peer's sub-revoke sends a [`Kcall::RevokeReq`](semper_base::msg::Kcall::RevokeReq)
+//!    for the inner root back here, which waits for that root to be
+//!    deleted;
+//! 3. the deletion waits for the combined operation, and the combined
+//!    operation waits for the peer.
+//!
+//! This is a known defect, left standing until the protocol is fixed.
+//!
 //! # How items reuse the single-call handlers
 //!
 //! Each non-revoke item is started through the *same* `sys_*` entry
@@ -283,9 +301,11 @@ impl Kernel {
     /// per-item root resolution (failures and childless `own = false`
     /// targets complete immediately, exactly as standalone calls
     /// would), then **one** combined revocation over all remaining
-    /// roots. Duplicate and nested roots fold into the first
-    /// occurrence's marked subtree; the combined fan-out groups its
-    /// cross-kernel requests per destination kernel.
+    /// roots. Duplicates and roots nested through local capabilities
+    /// fold into the first occurrence's marked subtree; roots nested
+    /// through a peer kernel fold only under parallel sweeps (see the
+    /// module docs). The combined fan-out groups its cross-kernel
+    /// requests per destination kernel.
     fn bulk_start_revokes(
         &mut self,
         op: OpId,
@@ -344,11 +364,7 @@ impl Kernel {
             if !open {
                 continue;
             }
-            if spanning {
-                self.stats.revokes_spanning += 1;
-            } else {
-                self.stats.revokes_local += 1;
-            }
+            self.count_revoke(spanning);
             self.bulk_item_done(batch, idx as usize, Ok(SysReplyData::None), out);
         }
     }

@@ -370,7 +370,7 @@ impl Kernel {
                 // operation touching them) and dependents woken. The
                 // unresponsive remote subtrees belong to a dead or
                 // unreachable kernel — orphaned there, gone with it.
-                revoke::Phase::Run(rop) => self.complete_revoke(op, rop, out),
+                revoke::Phase::Run(rop) => self.complete_revoke(rop, out),
                 // Report what the completed sub-revokes deleted; the
                 // caller's protocol treats revoke replies as always-Ok.
                 revoke::Phase::Batch { caller_op, caller_kernel, cap_keys, fanin } => {
@@ -412,11 +412,7 @@ impl Kernel {
                         self.send_kcall(out, k, Kcall::SweepDoneNotice { op });
                     }
                     self.notify_initiator(s.initiator, true, s.fanin.tally(), out);
-                    let mut ready: Vec<ReadyOp> = Vec::new();
-                    for w in s.woken {
-                        self.wake_waiter(w, &mut ready);
-                    }
-                    cost + self.run_ready(ready, out)
+                    cost + self.wake_all(s.woken, out)
                 }
                 // The coordinator is gone (or unreachable): retire the
                 // partition locally — delete what it marked so no
@@ -501,26 +497,8 @@ impl Kernel {
         mut p: sweep::SweepPart,
         out: &mut Outbox,
     ) -> u64 {
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        let mut woken = std::mem::take(&mut self.scratch.woken);
-        debug_assert!(deleted.is_empty() && woken.is_empty());
-        for root in std::mem::take(&mut p.roots) {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        cost += self.cfg.cost.revoke_finish;
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
-        let mut to_wake = std::mem::take(&mut p.woken);
-        to_wake.append(&mut woken);
-        self.scratch.woken = woken;
-        let mut ready: Vec<ReadyOp> = Vec::new();
-        for w in to_wake {
-            self.wake_waiter(w, &mut ready);
-        }
-        cost + self.run_ready(ready, out)
+        let (cost, _) = self.delete_marked(std::mem::take(&mut p.roots), &mut p.woken);
+        cost + self.cfg.cost.revoke_finish + self.wake_all(p.woken, out)
     }
 
     /// Asserts that the kernel reached true quiescence: no suspended

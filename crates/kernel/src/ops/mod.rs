@@ -228,25 +228,12 @@ impl PendingOp {
             Thread::Holds => true,
             Thread::Free => false,
             Thread::PerInitiator => match self {
-                // Bulk-initiated revokes carry the batch syscall's
-                // thread: the batch op itself is declared `Free`, and
-                // ordered execution guarantees at most one coalesced
-                // run is suspended per batch.
-                PendingOp::Revoke(revoke::Phase::Run(op)) => matches!(
-                    op.initiator,
-                    revoke::Initiator::Syscall { .. }
-                        | revoke::Initiator::Internal
-                        | revoke::Initiator::Bulk { .. }
-                ),
+                PendingOp::Revoke(revoke::Phase::Run(op)) => op.initiator.holds_thread(),
                 // A sweep coordinator carries whatever its classic
                 // counterpart would have carried.
-                PendingOp::Sweep(sweep::Phase::Coordinate(s))
-                | PendingOp::Sweep(sweep::Phase::Collect(s)) => matches!(
-                    s.initiator,
-                    revoke::Initiator::Syscall { .. }
-                        | revoke::Initiator::Internal
-                        | revoke::Initiator::Bulk { .. }
-                ),
+                PendingOp::Sweep(sweep::Phase::Coordinate(s) | sweep::Phase::Collect(s)) => {
+                    s.initiator.holds_thread()
+                }
                 other => unreachable!("{} has no initiator", other.spec().name),
             },
         }

@@ -3,7 +3,8 @@
 //!
 //! Phase 1 (*mark*) walks the local part of the capability subtree,
 //! marking every capability `Revoking` and firing one inter-kernel
-//! revoke request per remote child. Phase 2 (*sweep*) runs when the
+//! revoke request per remote child (one per kernel for a coalesced bulk
+//! run, see [`crate::ops::bulk`]). Phase 2 (*sweep*) runs when the
 //! operation's [`FanIn`] drains: the marked subtrees are deleted, and
 //! only then is the initiator notified — a revoke is never acknowledged
 //! while any part of its subtree survives (ruling out the *incomplete*
@@ -17,14 +18,24 @@
 //!   running operation owns that subtree; the new operation registers as
 //!   a waiter and completes only after the capability is actually
 //!   deleted. This is how overlapping revokes serialize without ever
-//!   acknowledging early. The dependency graph follows tree edges, so it
-//!   is acyclic — no deadlock (the property the paper's multithreading
-//!   design establishes; our event-driven kernel inherits it).
+//!   acknowledging early. For single-root operations the dependency
+//!   graph follows tree edges, so it is acyclic — no deadlock (the
+//!   property the paper's multithreading design establishes; our
+//!   event-driven kernel inherits it). A coalesced bulk run whose roots
+//!   nest through a peer kernel is the exception (see
+//!   [`crate::ops::bulk`]).
+//!
+//! The mark walk (`mark_roots`), the delete pass (`delete_marked`) and
+//! the per-kernel grouping (`group_by_kernel`) exist once, here; classic
+//! revokes, coalesced bulk runs and partitioned sweeps
+//! ([`crate::ops::sweep`]) all use them.
 //!
 //! Revocations triggered by applications can bounce between kernels (the
 //! adversarial cross-kernel *chain* of §5.2); each bounce is a fresh
 //! request handled without blocking, so kernels stay responsive — the
 //! analogue of the paper's two-revocation-threads bound.
+
+use std::collections::BTreeMap;
 
 use semper_base::config::Feature;
 use semper_base::msg::{KReply, Kcall, SysReplyData};
@@ -53,12 +64,23 @@ pub(crate) struct RevokeScratch {
     pub(crate) stack: Vec<DdlKey>,
     /// Deleted capabilities of one sweep, processed in one batched pass.
     pub(crate) deleted: Vec<Capability>,
-    /// Remote children collected by one mark phase.
-    pub(crate) remote: Vec<(KernelId, DdlKey)>,
+    /// Remote children collected by one classic mark phase.
+    pub(crate) frontier: Vec<DdlKey>,
     /// Waiters woken by one sweep.
     pub(crate) woken: Vec<OpId>,
     /// Keys marked by the current operation (overlapping-root folding).
     pub(crate) marked: DetHashSet<RawDdlKey>,
+}
+
+/// What one mark pass did ([`Kernel::mark_roots`]).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct MarkTally {
+    /// Modeled cycles of the pass.
+    pub(crate) cost: u64,
+    /// Dependencies registered on concurrent revocations.
+    pub(crate) deps: u32,
+    /// Capabilities newly marked `Revoking`.
+    pub(crate) marked: u64,
 }
 
 /// An operation whose fan-in drained and is ready to run its completion
@@ -68,7 +90,7 @@ pub(crate) struct RevokeScratch {
 #[derive(Debug)]
 pub(crate) enum ReadyOp {
     /// A classic revocation: sweep its marked subtrees and notify.
-    Revoke(OpId, RevokeOp),
+    Revoke(RevokeOp),
     /// A parallel-sweep coordinator whose mark phase finished: order
     /// the partition deletions ([`Kernel::sweep_begin_delete`]).
     SweepCoord(OpId),
@@ -119,6 +141,27 @@ pub enum Initiator {
         /// Number of items in the run.
         items: u32,
     },
+}
+
+impl Initiator {
+    /// True if a revocation started this way parks a cooperative kernel
+    /// thread while it waits (§4.2): syscalls and internal cleanup hold
+    /// the calling thread, and bulk-initiated revokes carry the batch
+    /// syscall's thread (the batch op itself is declared `Free`, and
+    /// ordered execution suspends at most one coalesced run per batch).
+    /// Incoming requests are thread-free.
+    pub fn holds_thread(self) -> bool {
+        matches!(self, Initiator::Syscall { .. } | Initiator::Internal | Initiator::Bulk { .. })
+    }
+
+    /// True if notifying this initiator touches `vpe`'s capability group.
+    pub fn references_vpe(self, vpe: VpeId) -> bool {
+        match self {
+            Initiator::Syscall { vpe: v, .. } => v == vpe,
+            Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
+            Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
+        }
+    }
 }
 
 /// A revocation in progress (Algorithm 1 state).
@@ -181,12 +224,7 @@ impl Phase {
     pub fn references_vpe(&self, vpe: VpeId) -> bool {
         match self {
             Phase::Run(op) => {
-                let initiator = match op.initiator {
-                    Initiator::Syscall { vpe: v, .. } => v == vpe,
-                    Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
-                    Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
-                };
-                initiator || op.local_roots.iter().any(|k| k.vpe() == vpe)
+                op.initiator.references_vpe(vpe) || op.local_roots.iter().any(|k| k.vpe() == vpe)
             }
             Phase::Batch { cap_keys, .. } => cap_keys.iter().any(|k| k.vpe() == vpe),
         }
@@ -258,10 +296,8 @@ impl Kernel {
         let op_id = self.alloc_op();
         let mut op =
             RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
-        let mut cost = 0;
-        // Remote children grouped by owning kernel, for optional batching.
-        let mut remote = std::mem::take(&mut self.scratch.remote);
-        debug_assert!(remote.is_empty());
+        let mut frontier = std::mem::take(&mut self.scratch.frontier);
+        debug_assert!(frontier.is_empty());
         // A coalesced bulk run may name overlapping roots (duplicates,
         // or one root inside another root's subtree). Keys this call
         // marked itself are tracked so a later root that is already
@@ -284,105 +320,136 @@ impl Kernel {
             }
             _ => None,
         };
+        // The classic pre-check charges nothing for a root that needs no
+        // walk (already deleted here, or already `Revoking`).
+        let m =
+            self.mark_roots(&roots, op_id, marked.as_mut(), &mut frontier, &mut op.local_roots, 0);
+        op.fanin.arm_n(m.deps);
+        let mut cost = m.cost;
 
-        for root in roots {
-            if !self.mapdb.contains(root) {
-                // A peer's child (`own = false` on a spanning cap) is
-                // revoked at its owner, like `mark_subtree`'s remote
-                // children; a local one is already deleted.
-                let owner = self.membership.kernel_of_key(root);
-                if owner != self.id {
-                    cost += self.ref_cost();
-                    remote.push((owner, root));
-                }
-                continue;
-            }
-            if self.mapdb.get(root).expect("checked").revoking() {
-                if marked.as_ref().is_some_and(|m| m.contains(&root.raw())) {
-                    // Covered by an earlier root of this same operation.
-                    continue;
-                }
-                // A running revocation owns this subtree: wait for the
-                // capability to be deleted.
-                self.revoke_waiters.entry(root.raw()).or_default().push(op_id);
-                op.fanin.arm();
-                continue;
-            }
-            cost += self.mark_subtree(root, op_id, &mut op, &mut remote, marked.as_mut());
-            op.local_roots.push(root);
-        }
-
-        if !remote.is_empty() {
+        if !frontier.is_empty() {
             op.spanning = true;
             // A wide or multi-kernel fan-out is driven as a partitioned
             // parallel sweep when the feature is on: one grouped mark
             // request per owning kernel, swept concurrently.
-            let first = remote[0].0;
+            let first = self.membership.kernel_of_key(frontier[0]);
             if parallel
-                && (remote.len() >= sweep::SWEEP_MIN_FANOUT
-                    || remote.iter().any(|(k, _)| *k != first))
+                && (frontier.len() >= sweep::SWEEP_MIN_FANOUT
+                    || frontier.iter().any(|k| self.membership.kernel_of_key(*k) != first))
             {
                 let marked = marked.take().expect("tracked whenever the feature is on");
-                let c = self.start_sweep(op_id, op, &mut remote, marked, out);
-                self.scratch.remote = remote;
+                let c = self.start_sweep(op_id, op, &mut frontier, marked, out);
+                self.scratch.frontier = frontier;
                 return cost + c;
             }
-            cost += self.send_revoke_requests(op_id, &mut op, &mut remote, out);
+            cost += self.send_revoke_requests(op_id, &mut op, &mut frontier, out);
         }
 
         // Restore the scratch buffers before the completion path: the
         // initiator's notification can re-enter `start_revoke` (a batch
         // advancing to its next item).
-        self.scratch.remote = remote;
+        self.scratch.frontier = frontier;
         if let Some(m) = marked {
             self.scratch.marked = m;
         }
 
         if op.fanin.idle() {
-            cost + self.complete_revoke(op_id, op, out)
+            cost + self.complete_revoke(op, out)
         } else {
             self.park(op_id, PendingOp::Revoke(Phase::Run(op)));
             cost + self.cfg.cost.thread_switch
         }
     }
 
+    /// The mark phase's root loop, shared by classic, bulk and sweep
+    /// marking: walks every root that is present and not yet revoking
+    /// ([`Kernel::mark_walk`]) and records it in `local_roots`. A root
+    /// owned by another kernel costs one reference and joins the
+    /// `frontier`; a root already marked by `marked` folds; any other
+    /// `Revoking` root becomes a dependency of `waiter`. A root that
+    /// needs no walk (already `Revoking`, or already deleted here) is
+    /// charged `precheck`: classic revokes pay nothing, sweeps one
+    /// reference.
+    pub(crate) fn mark_roots(
+        &mut self,
+        roots: &[DdlKey],
+        waiter: OpId,
+        mut marked: Option<&mut DetHashSet<RawDdlKey>>,
+        frontier: &mut Vec<DdlKey>,
+        local_roots: &mut Vec<DdlKey>,
+        precheck: u64,
+    ) -> MarkTally {
+        let mut t = MarkTally::default();
+        for &root in roots {
+            let Ok(cap) = self.mapdb.get(root) else {
+                if self.membership.kernel_of_key(root) != self.id {
+                    // A peer's key (`own = false` on a spanning cap, or
+                    // a group that migrated away after partitioning):
+                    // revoked at its owner.
+                    t.cost += self.ref_cost();
+                    frontier.push(root);
+                } else {
+                    // Already deleted by a concurrent operation.
+                    t.cost += precheck;
+                }
+                continue;
+            };
+            if cap.revoking() {
+                t.cost += precheck;
+                if marked.as_ref().is_some_and(|m| m.contains(&root.raw())) {
+                    // Covered by an earlier root of this same operation.
+                    continue;
+                }
+                // A running revocation owns this subtree: wait for the
+                // capability to be deleted.
+                self.revoke_waiters.entry(root.raw()).or_default().push(waiter);
+                t.deps += 1;
+                continue;
+            }
+            let w = self.mark_walk(root, waiter, marked.as_deref_mut(), frontier);
+            t.cost += w.cost;
+            t.deps += w.deps;
+            t.marked += w.marked;
+            local_roots.push(root);
+        }
+        t
+    }
+
     /// Depth-first mark of the local subtree under `root` (which must be
-    /// present and not yet revoking). Remote children are collected;
-    /// already-revoking capabilities become dependencies — unless this
-    /// same operation marked them (`marked`, coalesced bulk runs only),
-    /// in which case they are already covered.
-    fn mark_subtree(
+    /// present and not yet revoking). Remote children join `frontier`;
+    /// already-revoking capabilities become dependencies of `waiter` —
+    /// unless `marked` says this same operation marked them, in which
+    /// case they are already covered. Every key marked here is added to
+    /// `marked`.
+    fn mark_walk(
         &mut self,
         root: DdlKey,
-        op_id: OpId,
-        op: &mut RevokeOp,
-        remote: &mut Vec<(KernelId, DdlKey)>,
+        waiter: OpId,
         mut marked: Option<&mut DetHashSet<RawDdlKey>>,
-    ) -> u64 {
-        let mut cost = 0;
+        frontier: &mut Vec<DdlKey>,
+    ) -> MarkTally {
+        let mut t = MarkTally::default();
         let mut stack = std::mem::take(&mut self.scratch.stack);
         debug_assert!(stack.is_empty());
         stack.push(root);
         while let Some(key) = stack.pop() {
             let Ok(cap) = self.mapdb.get(key) else {
                 // Not ours: a remote child — one reference to classify it.
-                cost += self.ref_cost();
-                remote.push((self.membership.kernel_of_key(key), key));
+                t.cost += self.ref_cost();
+                frontier.push(key);
                 continue;
             };
             // Following the parent link and scanning the child list are
             // two capability references per visited local node.
-            cost += 2 * self.ref_cost();
+            t.cost += 2 * self.ref_cost();
             if cap.revoking() {
                 debug_assert_ne!(key, root, "caller checked the root");
                 if marked.as_ref().is_some_and(|m| m.contains(&key.raw())) {
-                    // Marked by an earlier root of this same operation
-                    // (a bulk run revoking a child before its ancestor).
                     continue;
                 }
                 // Another operation owns this subtree; depend on it.
-                self.revoke_waiters.entry(key.raw()).or_default().push(op_id);
-                op.fanin.arm();
+                self.revoke_waiters.entry(key.raw()).or_default().push(waiter);
+                t.deps += 1;
                 continue;
             }
             for child in cap.children().rev() {
@@ -392,34 +459,41 @@ impl Kernel {
             if let Some(m) = marked.as_deref_mut() {
                 m.insert(key.raw());
             }
-            cost += self.cfg.cost.revoke_mark;
+            t.marked += 1;
+            t.cost += self.cfg.cost.revoke_mark;
         }
         self.scratch.stack = stack;
-        cost
+        t
     }
 
-    /// Sends revoke requests for remote children — one message per child,
-    /// or one batch per kernel when [`Feature::RevokeBatching`] is on
-    /// (the optimisation §5.2 proposes). Bulk-initiated operations
-    /// ([`Initiator::Bulk`]) always group per kernel: coalescing the
-    /// cross-kernel fan-out is the point of batching the system calls.
+    /// Groups keys by owning kernel, in kernel order — the partition
+    /// rule of grouped revoke requests and sweep mark rounds alike.
+    pub(crate) fn group_by_kernel(
+        &self,
+        keys: impl IntoIterator<Item = DdlKey>,
+    ) -> BTreeMap<KernelId, Vec<DdlKey>> {
+        let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
+        for key in keys {
+            by_kernel.entry(self.membership.kernel_of_key(key)).or_default().push(key);
+        }
+        by_kernel
+    }
+
+    /// Sends revoke requests for remote children: one message per child,
+    /// or — for bulk-initiated operations ([`Initiator::Bulk`]) — one
+    /// [`Kcall::RevokeBatchReq`] per kernel, the grouping §5.2 proposes:
+    /// coalescing the cross-kernel fan-out is the point of batching the
+    /// system calls.
     fn send_revoke_requests(
         &mut self,
         op_id: OpId,
         op: &mut RevokeOp,
-        remote: &mut Vec<(KernelId, DdlKey)>,
+        frontier: &mut Vec<DdlKey>,
         out: &mut Outbox,
     ) -> u64 {
         let mut cost = 0;
-        if self.cfg.has_feature(Feature::RevokeBatching)
-            || matches!(op.initiator, Initiator::Bulk { .. })
-        {
-            let mut by_kernel: std::collections::BTreeMap<KernelId, Vec<DdlKey>> =
-                std::collections::BTreeMap::new();
-            for (k, key) in remote.drain(..) {
-                by_kernel.entry(k).or_default().push(key);
-            }
-            for (k, cap_keys) in by_kernel {
+        if matches!(op.initiator, Initiator::Bulk { .. }) {
+            for (k, cap_keys) in self.group_by_kernel(frontier.drain(..)) {
                 op.fanin.arm();
                 cost += self.cfg.cost.kcall_exit;
                 let call = Kcall::RevokeBatchReq { op: op_id, cap_keys };
@@ -427,7 +501,8 @@ impl Kernel {
                 self.send_kcall(out, k, call);
             }
         } else {
-            for (k, cap_key) in remote.drain(..) {
+            for cap_key in frontier.drain(..) {
+                let k = self.membership.kernel_of_key(cap_key);
                 op.fanin.arm();
                 // Marshalling one revoke request: compose the message,
                 // inject it through the DTU, and record the outstanding
@@ -448,8 +523,8 @@ impl Kernel {
     /// initiator. Completion of waiters can cascade; a worklist keeps the
     /// recursion bounded. Also the fault engine's forced-completion path
     /// for a revoke whose remote legs stopped answering.
-    pub(crate) fn complete_revoke(&mut self, op_id: OpId, op: RevokeOp, out: &mut Outbox) -> u64 {
-        self.run_ready(vec![ReadyOp::Revoke(op_id, op)], out)
+    pub(crate) fn complete_revoke(&mut self, op: RevokeOp, out: &mut Outbox) -> u64 {
+        self.run_ready(vec![ReadyOp::Revoke(op)], out)
     }
 
     /// Runs completion steps from a worklist until it drains: classic
@@ -461,7 +536,7 @@ impl Kernel {
         let mut cost = 0;
         while let Some(r) = ready.pop() {
             match r {
-                ReadyOp::Revoke(id, op) => cost += self.finish_one_revoke(id, op, &mut ready, out),
+                ReadyOp::Revoke(op) => cost += self.finish_one_revoke(op, &mut ready, out),
                 ReadyOp::SweepCoord(id) => cost += self.sweep_begin_delete(id, out),
                 ReadyOp::SweepPart(id) => cost += self.sweep_part_finish(id, out),
             }
@@ -469,49 +544,58 @@ impl Kernel {
         cost
     }
 
+    /// Wakes every waiter in `woken` and runs the completions that
+    /// drained as a result.
+    pub(crate) fn wake_all(&mut self, woken: Vec<OpId>, out: &mut Outbox) -> u64 {
+        let mut ready: Vec<ReadyOp> = Vec::new();
+        for w in woken {
+            self.wake_waiter(w, &mut ready);
+        }
+        self.run_ready(ready, out)
+    }
+
     /// Sweeps one classic revocation's marked subtrees in a single
     /// batched pass, notifies the initiator, and queues woken waiters.
     fn finish_one_revoke(
         &mut self,
-        _id: OpId,
         mut op: RevokeOp,
         ready: &mut Vec<ReadyOp>,
         out: &mut Outbox,
     ) -> u64 {
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
         let mut woken = std::mem::take(&mut self.scratch.woken);
-        debug_assert!(deleted.is_empty() && woken.is_empty());
-        for root in std::mem::take(&mut op.local_roots) {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        op.fanin.add(deleted.len() as u64);
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        cost += self.cfg.cost.revoke_finish;
+        debug_assert!(woken.is_empty());
+        let (cost, deleted) = self.delete_marked(std::mem::take(&mut op.local_roots), &mut woken);
+        op.fanin.add(deleted);
         self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
         for waiter in woken.drain(..) {
             self.wake_waiter(waiter, ready);
         }
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
         self.scratch.woken = woken;
-        cost
+        cost + self.cfg.cost.revoke_finish
     }
 
-    /// Processes a batch of deleted capabilities: per-capability cost
-    /// and endpoint invalidation, waiter collection, and the owners'
-    /// table bindings removed with **one table lookup per run of
-    /// consecutive same-owner capabilities** — the batched host-side
-    /// dispatch that a dense teardown (thousands of same-table
-    /// capabilities) collapses into a handful of lookups. Clears
-    /// `deleted`; waiters are appended to `woken` for the caller to
-    /// fire (or defer, for partitioned sweeps).
-    pub(crate) fn sweep_deleted(
+    /// The delete pass shared by classic revokes, sweep coordinators and
+    /// sweep partitions: deletes the marked subtrees under `roots` in one
+    /// batched pass and returns the modeled cost and the number of
+    /// capabilities deleted. Each deletion pays its per-capability cost
+    /// and endpoint invalidation; waiters on deleted capabilities are
+    /// appended to `woken` for the caller to fire (or defer, for
+    /// partitioned sweeps). The owners' table bindings are removed with
+    /// **one table lookup per run of consecutive same-owner
+    /// capabilities** — the batched host-side dispatch that a dense
+    /// teardown (thousands of same-table capabilities) collapses into a
+    /// handful of lookups.
+    pub(crate) fn delete_marked(
         &mut self,
-        deleted: &mut Vec<Capability>,
+        roots: Vec<DdlKey>,
         woken: &mut Vec<OpId>,
-    ) -> u64 {
+    ) -> (u64, u64) {
+        let mut stack = std::mem::take(&mut self.scratch.stack);
+        let mut deleted = std::mem::take(&mut self.scratch.deleted);
+        debug_assert!(deleted.is_empty());
+        for root in roots {
+            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
+        }
         let mut cost = 0;
         for cap in deleted.iter() {
             self.stats.caps_deleted += 1;
@@ -538,8 +622,11 @@ impl Kernel {
                 i += 1;
             }
         }
+        let count = deleted.len() as u64;
         deleted.clear();
-        cost
+        self.scratch.stack = stack;
+        self.scratch.deleted = deleted;
+        (cost, count)
     }
 
     /// Resolves one woken waiter: a classic revoke's fan-in completes;
@@ -553,7 +640,7 @@ impl Kernel {
                     else {
                         unreachable!("checked above");
                     };
-                    ready.push(ReadyOp::Revoke(waiter, wop));
+                    ready.push(ReadyOp::Revoke(wop));
                 }
             }
             Some(PendingOp::Sweep(sweep::Phase::Coordinate(s))) => {
@@ -587,21 +674,11 @@ impl Kernel {
     ) {
         // Only top-level revocations count as capability operations;
         // kcall- and batch-initiated sub-revokes are part of a revoke
-        // already counted at the initiating kernel.
-        match initiator {
-            Initiator::Syscall { .. } | Initiator::Internal => {
-                if spanning {
-                    self.stats.revokes_spanning += 1;
-                } else {
-                    self.stats.revokes_local += 1;
-                }
-            }
-            // Bulk runs count one revocation per *item*, recorded when
-            // the items resolve (see `Kernel::bulk_revokes_done`).
-            Initiator::Kcall { .. } | Initiator::Batch { .. } | Initiator::Bulk { .. } => {}
-        }
+        // already counted at the initiating kernel, and bulk runs count
+        // one revocation per *item* when the items resolve.
         match initiator {
             Initiator::Syscall { vpe, tag } => {
+                self.count_revoke(spanning);
                 self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             }
             Initiator::Kcall { op: caller_op, from, cap_key } => {
@@ -611,13 +688,22 @@ impl Kernel {
                     KReply::Revoke { op: caller_op, cap_key, deleted, result: Ok(()) },
                 );
             }
-            Initiator::Internal => {}
+            Initiator::Internal => self.count_revoke(spanning),
             Initiator::Batch { batch } => {
                 self.batch_entry_done(batch, deleted, out);
             }
             Initiator::Bulk { batch, first_item, items } => {
                 self.bulk_revokes_done(batch, first_item, items, spanning, out);
             }
+        }
+    }
+
+    /// Counts one completed top-level revocation as local or spanning.
+    pub(crate) fn count_revoke(&mut self, spanning: bool) {
+        if spanning {
+            self.stats.revokes_spanning += 1;
+        } else {
+            self.stats.revokes_local += 1;
         }
     }
 
@@ -725,7 +811,7 @@ impl Kernel {
                     let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.remove(op) else {
                         unreachable!("checked above");
                     };
-                    self.complete_revoke(op, rop, out)
+                    self.complete_revoke(rop, out)
                 } else {
                     // Decrementing the outstanding counter (Algorithm
                     // 1's `receive_revoke_reply` fast path) is

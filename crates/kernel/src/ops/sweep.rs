@@ -52,8 +52,10 @@
 //! protocol: an operation can depend only on operations rooted inside
 //! its own subtree, which cannot depend back (their walks never reach
 //! the outer root). Multi-root bulk runs fold their own overlaps via
-//! the per-operation marked set, exactly as the classic coalesced path
-//! does.
+//! the per-operation marked set, handed over from the bulk run's mark
+//! phase. That includes a root nested through a peer kernel, whose key
+//! bounces back to the coordinator — the one overlap the classic
+//! coalesced path cannot fold (see [`crate::ops::bulk`]).
 
 use std::collections::BTreeMap;
 
@@ -166,12 +168,7 @@ impl Phase {
     pub fn references_vpe(&self, vpe: VpeId) -> bool {
         match self {
             Phase::Coordinate(s) | Phase::Collect(s) => {
-                let initiator = match s.initiator {
-                    Initiator::Syscall { vpe: v, .. } => v == vpe,
-                    Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
-                    Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
-                };
-                initiator || s.local_roots.iter().any(|k| k.vpe() == vpe)
+                s.initiator.references_vpe(vpe) || s.local_roots.iter().any(|k| k.vpe() == vpe)
             }
             Phase::Partition(p) => p.roots.iter().any(|k| k.vpe() == vpe),
         }
@@ -188,7 +185,7 @@ impl Kernel {
         &mut self,
         op_id: OpId,
         rop: RevokeOp,
-        remote: &mut Vec<(KernelId, DdlKey)>,
+        frontier: &mut Vec<DdlKey>,
         marked: DetHashSet<RawDdlKey>,
         out: &mut Outbox,
     ) -> u64 {
@@ -205,11 +202,11 @@ impl Kernel {
             marked,
             rounds: 0,
         };
-        let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
-        for (k, key) in remote.drain(..) {
-            debug_assert_ne!(k, self.id, "local children are marked, not partitioned");
-            by_kernel.entry(k).or_default().push(key);
-        }
+        let by_kernel = self.group_by_kernel(frontier.drain(..));
+        debug_assert!(
+            !by_kernel.contains_key(&self.id),
+            "local children are marked, not partitioned"
+        );
         let cost = self.sweep_send_marks(op_id, &mut s, by_kernel, out);
         self.park(op_id, PendingOp::Sweep(Phase::Coordinate(s)));
         cost + self.cfg.cost.thread_switch
@@ -276,74 +273,26 @@ impl Kernel {
         let Some(PendingOp::Sweep(Phase::Partition(mut part))) = self.pending.remove(local) else {
             unreachable!("sweep_parts points at a partition");
         };
-        let mut cost = self.cfg.cost.sweep_key * cap_keys.len() as u64;
+        // A root that migrated away after the coordinator partitioned
+        // its frontier is reported back as next-round frontier, so the
+        // coordinator regroups it to the current owner.
         let mut frontier: Vec<DdlKey> = Vec::new();
-        let mut marked_count: u64 = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        debug_assert!(stack.is_empty());
-        for &root in cap_keys {
-            if !self.mapdb.contains(root) {
-                cost += self.ref_cost();
-                if self.membership.kernel_of_key(root) != self.id {
-                    // The root's group migrated away after the
-                    // coordinator partitioned its frontier: report it
-                    // back as next-round frontier so the coordinator
-                    // regroups it to the current owner.
-                    frontier.push(root);
-                }
-                // Otherwise already deleted by a concurrent operation
-                // that completed: vacuous.
-                continue;
-            }
-            if self.mapdb.get(root).expect("checked").revoking() {
-                cost += self.ref_cost();
-                if part.marked.contains(&root.raw()) {
-                    // A later round landed inside an already marked
-                    // region of this same partition.
-                    continue;
-                }
-                // A concurrent revocation owns this subtree: the delete
-                // reply waits for the capability to be deleted.
-                self.revoke_waiters.entry(root.raw()).or_default().push(local);
-                part.deps += 1;
-                continue;
-            }
-            stack.push(root);
-            while let Some(key) = stack.pop() {
-                let Ok(cap) = self.mapdb.get(key) else {
-                    // Not ours: the next frontier, reported back to the
-                    // coordinator.
-                    cost += self.ref_cost();
-                    frontier.push(key);
-                    continue;
-                };
-                cost += 2 * self.ref_cost();
-                if cap.revoking() {
-                    if part.marked.contains(&key.raw()) {
-                        continue;
-                    }
-                    self.revoke_waiters.entry(key.raw()).or_default().push(local);
-                    part.deps += 1;
-                    continue;
-                }
-                for child in cap.children().rev() {
-                    stack.push(child);
-                }
-                self.mapdb.mark_revoking(key).expect("present");
-                part.marked.insert(key.raw());
-                marked_count += 1;
-                cost += self.cfg.cost.revoke_mark;
-            }
-            part.roots.push(root);
-        }
-        self.scratch.stack = stack;
+        let m = self.mark_roots(
+            cap_keys,
+            local,
+            Some(&mut part.marked),
+            &mut frontier,
+            &mut part.roots,
+            self.ref_cost(),
+        );
+        part.deps += m.deps;
         self.pending.insert(local, PendingOp::Sweep(Phase::Partition(part)));
         self.send_kreply(
             out,
             from,
-            KReply::SweepMark { op: caller_op, marked: marked_count, frontier },
+            KReply::SweepMark { op: caller_op, marked: m.marked, frontier },
         );
-        cost + self.cfg.cost.kcall_exit
+        self.cfg.cost.sweep_key * cap_keys.len() as u64 + m.cost + self.cfg.cost.kcall_exit
     }
 
     /// Completion handler for [`KReply::SweepMark`]: regroups the
@@ -355,18 +304,7 @@ impl Kernel {
         frontier: &[DdlKey],
         out: &mut Outbox,
     ) -> u64 {
-        // Check before removing: a duplicated or straggler mark reply
-        // must not knock out an op parked in another phase.
-        match self.pending.get(op) {
-            Some(PendingOp::Sweep(Phase::Coordinate(_))) => {}
-            _ => {
-                self.fault_anomaly(&format!("mark reply for unknown sweep {op}"));
-                return 0;
-            }
-        }
-        let Some(PendingOp::Sweep(Phase::Coordinate(mut s))) = self.pending.remove(op) else {
-            unreachable!("checked above");
-        };
+        let Some(mut s) = self.take_coordinator(op, "mark reply") else { return 0 };
         // Saturating: a fault-forced abort zeroes the counter while
         // straggler replies are still in flight.
         s.marks_outstanding = s.marks_outstanding.saturating_sub(1);
@@ -384,6 +322,21 @@ impl Kernel {
         cost
     }
 
+    /// Removes the coordinator parked under `op` in its mark phase. The
+    /// phase is checked before removing: a duplicated or straggler
+    /// message (`what`) must not knock out an op parked in another
+    /// phase, and is absorbed as an anomaly.
+    fn take_coordinator(&mut self, op: OpId, what: &str) -> Option<SweepOp> {
+        if !matches!(self.pending.get(op), Some(PendingOp::Sweep(Phase::Coordinate(_)))) {
+            self.fault_anomaly(&format!("{what} for unknown sweep {op}"));
+            return None;
+        }
+        let Some(PendingOp::Sweep(Phase::Coordinate(s))) = self.pending.remove(op) else {
+            unreachable!("checked above");
+        };
+        Some(s)
+    }
+
     /// Expands one frontier: keys owned by other kernels extend their
     /// partitions (one grouped request each); keys that bounced back to
     /// the coordinator are marked locally, and any remote children
@@ -397,62 +350,22 @@ impl Kernel {
     ) -> u64 {
         let mut cost = 0;
         loop {
-            let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
-            let mut local_keys: Vec<DdlKey> = Vec::new();
-            for key in work.drain(..) {
-                let k = self.membership.kernel_of_key(key);
-                if k == self.id {
-                    local_keys.push(key);
-                } else {
-                    by_kernel.entry(k).or_default().push(key);
-                }
-            }
+            let mut by_kernel = self.group_by_kernel(work.drain(..));
+            let local_keys = by_kernel.remove(&self.id).unwrap_or_default();
             cost += self.sweep_send_marks(op, s, by_kernel, out);
             if local_keys.is_empty() {
                 return cost;
             }
-            let mut stack = std::mem::take(&mut self.scratch.stack);
-            debug_assert!(stack.is_empty());
-            for root in local_keys {
-                if !self.mapdb.contains(root) {
-                    cost += self.ref_cost();
-                    continue;
-                }
-                if self.mapdb.get(root).expect("checked").revoking() {
-                    cost += self.ref_cost();
-                    if s.marked.contains(&root.raw()) {
-                        continue;
-                    }
-                    self.revoke_waiters.entry(root.raw()).or_default().push(op);
-                    s.deps += 1;
-                    continue;
-                }
-                stack.push(root);
-                while let Some(key) = stack.pop() {
-                    let Ok(cap) = self.mapdb.get(key) else {
-                        cost += self.ref_cost();
-                        work.push(key);
-                        continue;
-                    };
-                    cost += 2 * self.ref_cost();
-                    if cap.revoking() {
-                        if s.marked.contains(&key.raw()) {
-                            continue;
-                        }
-                        self.revoke_waiters.entry(key.raw()).or_default().push(op);
-                        s.deps += 1;
-                        continue;
-                    }
-                    for child in cap.children().rev() {
-                        stack.push(child);
-                    }
-                    self.mapdb.mark_revoking(key).expect("present");
-                    s.marked.insert(key.raw());
-                    cost += self.cfg.cost.revoke_mark;
-                }
-                s.local_roots.push(root);
-            }
-            self.scratch.stack = stack;
+            let m = self.mark_roots(
+                &local_keys,
+                op,
+                Some(&mut s.marked),
+                &mut work,
+                &mut s.local_roots,
+                self.ref_cost(),
+            );
+            cost += m.cost;
+            s.deps += m.deps;
             if work.is_empty() {
                 return cost;
             }
@@ -468,37 +381,18 @@ impl Kernel {
     /// region in one batched pass and orders every participant to
     /// delete its partition.
     pub(crate) fn sweep_begin_delete(&mut self, op: OpId, out: &mut Outbox) -> u64 {
-        match self.pending.get(op) {
-            Some(PendingOp::Sweep(Phase::Coordinate(_))) => {}
-            _ => {
-                self.fault_anomaly(&format!("delete step for unknown sweep {op}"));
-                return 0;
-            }
-        }
-        let Some(PendingOp::Sweep(Phase::Coordinate(mut s))) = self.pending.remove(op) else {
-            unreachable!("checked above");
-        };
+        let Some(mut s) = self.take_coordinator(op, "delete step") else { return 0 };
         debug_assert!(s.marks_outstanding == 0 && s.deps == 0);
         if s.rounds > self.stats.sweep_depth {
             self.stats.sweep_depth = s.rounds;
         }
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        debug_assert!(deleted.is_empty());
-        for root in std::mem::take(&mut s.local_roots) {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        s.fanin.add(deleted.len() as u64);
         // Waiters on the coordinator's region defer to sweep completion
         // like everyone else's: parts of their subtrees may live in
         // partitions that are still being deleted.
-        let mut woken = std::mem::take(&mut s.woken);
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        s.woken = woken;
+        let (mut cost, deleted) =
+            self.delete_marked(std::mem::take(&mut s.local_roots), &mut s.woken);
+        s.fanin.add(deleted);
         s.marked.clear();
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
         for i in 0..s.participants.len() {
             let k = s.participants[i];
             s.fanin.arm();
@@ -559,40 +453,26 @@ impl Kernel {
     /// partition (fired on the done notice); the partition op stays
     /// parked until then.
     pub(crate) fn sweep_part_finish(&mut self, local: OpId, out: &mut Outbox) -> u64 {
-        let (caller, caller_op, roots, stray) = {
+        let (caller, caller_op, roots, mut woken) = {
             let Some(PendingOp::Sweep(Phase::Partition(p))) = self.pending.get_mut(local) else {
                 self.fault_anomaly(&format!("partition delete for unknown op {local}"));
                 return 0;
             };
             debug_assert!(p.delete_requested && p.deps == 0);
-            let stray = p.swept;
-            let roots = if stray { Vec::new() } else { std::mem::take(&mut p.roots) };
-            (p.caller, p.caller_op, roots, stray)
+            if p.swept {
+                // A second trigger after sweeping (only reachable with
+                // fault-forced wakes); the first pass did the work.
+                self.fault_anomaly(&format!("partition {local} deleted twice"));
+                return 0;
+            }
+            (p.caller, p.caller_op, std::mem::take(&mut p.roots), std::mem::take(&mut p.woken))
         };
-        if stray {
-            // A second trigger after sweeping (only reachable with
-            // fault-forced wakes); the first pass did the work.
-            self.fault_anomaly(&format!("partition {local} deleted twice"));
-            return 0;
-        }
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        let mut woken = std::mem::take(&mut self.scratch.woken);
-        debug_assert!(deleted.is_empty() && woken.is_empty());
-        for root in roots {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        let count = deleted.len() as u64;
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
+        let (cost, count) = self.delete_marked(roots, &mut woken);
         if let Some(PendingOp::Sweep(Phase::Partition(p))) = self.pending.get_mut(local) {
             p.swept = true;
             p.marked.clear();
-            p.woken.append(&mut woken);
+            p.woken = woken;
         }
-        self.scratch.woken = woken;
         self.send_kreply(out, caller, KReply::SweepDelete { op: caller_op, deleted: count });
         cost + self.cfg.cost.kcall_exit + self.cfg.cost.revoke_finish
     }
@@ -624,11 +504,7 @@ impl Kernel {
             self.send_kcall(out, k, Kcall::SweepDoneNotice { op });
         }
         self.notify_initiator(s.initiator, true, s.fanin.tally(), out);
-        let mut ready: Vec<ReadyOp> = Vec::new();
-        for w in s.woken {
-            self.wake_waiter(w, &mut ready);
-        }
-        cost + self.run_ready(ready, out)
+        cost + self.wake_all(s.woken, out)
     }
 
     /// Request handler for [`Kcall::SweepDoneNotice`]: the whole sweep
@@ -657,10 +533,6 @@ impl Kernel {
             ));
             return self.abort_sweep_partition(p, out);
         }
-        let mut ready: Vec<ReadyOp> = Vec::new();
-        for w in p.woken {
-            self.wake_waiter(w, &mut ready);
-        }
-        self.run_ready(ready, out)
+        self.wake_all(p.woken, out)
     }
 }

@@ -3,7 +3,7 @@
 //! coalesced revoke fan-out, error items, and teardown mid-batch.
 
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Code, VpeId};
+use semper_base::{CapSel, Code, Feature, VpeId};
 use semper_kernel::harness::TestCluster;
 
 fn create_mem(c: &mut TestCluster, vpe: VpeId) -> CapSel {
@@ -153,7 +153,8 @@ fn consecutive_revokes_coalesce_cross_kernel_messages() {
 }
 
 /// Overlapping revokes in one run (duplicate selector, and a child
-/// followed by its ancestor) fold into one sweep and all report `Ok`.
+/// followed by its ancestor) fold into one sweep and all report `Ok` —
+/// also when the child hangs under its ancestor through a peer kernel.
 #[test]
 fn overlapping_revoke_run_folds_into_one_sweep() {
     let mut c = TestCluster::new(1, 2);
@@ -181,6 +182,36 @@ fn overlapping_revoke_run_folds_into_one_sweep() {
     assert!(c.kernels[0].table(VpeId(0)).unwrap().get(child).is_err());
     for k in &c.kernels {
         assert_eq!(k.pending_ops(), 0, "overlapping run must not deadlock");
+    }
+
+    // Three kernels with parallel sweeps: `back` is a grandchild of
+    // `root` through VPE 2's copy on kernel 1. The bulk run marks `back`
+    // first and hands its marked set to the sweep coordinator, which
+    // folds `back` when kernel 1's frontier bounces it back.
+    let mut c = TestCluster::new(3, 2);
+    for k in &mut c.kernels {
+        k.enable_feature_for_test(Feature::ParallelSweep);
+    }
+    let start = c.total_caps();
+    let root = create_mem(&mut c, VpeId(0));
+    let copy = delegate(&mut c, VpeId(0), VpeId(2), root);
+    delegate(&mut c, VpeId(0), VpeId(4), root);
+    let back = delegate(&mut c, VpeId(2), VpeId(0), copy);
+    let results = batch(
+        &mut c,
+        VpeId(0),
+        vec![
+            Syscall::Revoke { sel: back, own: true },
+            Syscall::Revoke { sel: root, own: true },
+            Syscall::Revoke { sel: root, own: true },
+        ],
+    );
+    assert!(results.iter().all(|r| *r == Ok(SysReplyData::None)), "{results:?}");
+    assert_eq!(c.total_caps(), start, "the whole tree is gone");
+    assert_eq!(c.kernels[0].stats().sweeps, 1, "the run converted into one sweep");
+    c.check_invariants();
+    for k in &c.kernels {
+        k.check_quiescent().unwrap();
     }
 }
 

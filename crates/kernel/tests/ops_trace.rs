@@ -18,7 +18,7 @@
 //! only when the protocol intentionally changes.
 
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Feature, VpeId};
+use semper_base::{CapSel, VpeId};
 use semper_kernel::harness::TestCluster;
 
 /// FNV-1a over the joined trace — stable across platforms and runs.
@@ -136,15 +136,13 @@ fn spanning_chain_revoke_trace_matches_golden() {
     check(c.take_trace(), 10, 0x505df7ed76ac416c, "spanning chain revoke");
 }
 
-/// The same wide-tree revoke with [`Feature::RevokeBatching`]: remote
-/// children grouped into one batched request per kernel, answered once
-/// the whole batch is done.
+/// The same wide-tree revoke issued as a one-item `Syscall::Batch`:
+/// remote children grouped into one batched request per kernel,
+/// answered once the whole batch is done. (Recorded on the ops engine:
+/// the batch op takes one op id ahead of the revoke's.)
 #[test]
 fn batched_revoke_trace_matches_golden() {
     let mut c = TestCluster::new(3, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::RevokeBatching);
-    }
     let root = create_mem(&mut c, VpeId(0));
     // Two children in each remote group, one local.
     for to in [VpeId(1), VpeId(4), VpeId(2), VpeId(5), VpeId(3)] {
@@ -160,10 +158,11 @@ fn batched_revoke_trace_matches_golden() {
         assert!(r.result.is_ok(), "{r:?}");
     }
     c.enable_tracing();
-    let r = c.syscall(VpeId(0), Syscall::Revoke { sel: root, own: true });
-    assert!(r.result.is_ok(), "{r:?}");
+    let item = Syscall::Revoke { sel: root, own: true };
+    let r = c.syscall(VpeId(0), Syscall::Batch(Box::new([item])));
+    assert!(matches!(&r.result, Ok(SysReplyData::Batch(items)) if items[0].is_ok()), "{r:?}");
     c.check_invariants();
-    check(c.take_trace(), 6, 0x43014bb3e421a812, "batched revoke");
+    check(c.take_trace(), 6, 0xa366de4d1159b8cf, "batched revoke");
 }
 
 /// The full session lifecycle across three kernels: service

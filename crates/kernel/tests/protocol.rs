@@ -540,22 +540,26 @@ fn obtain_nonexistent_selector_fails() {
 
 // ----- batching (ablation) -----------------------------------------------
 
+/// A revoke issued as a one-item `Syscall::Batch` (one grouped request
+/// per kernel) deletes exactly what the per-child fan-out deletes.
 #[test]
 fn batched_revoke_equivalent_to_unbatched() {
     for batching in [false, true] {
         let mut c = TestCluster::new(3, 2);
-        if batching {
-            for k in &mut c.kernels {
-                k.enable_feature_for_test(Feature::RevokeBatching);
-            }
-        }
         let root = create_mem(&mut c, VpeId(0));
         // Delegate to several VPEs across kernels: children at K1 and K2.
         for v in [2u16, 3, 4, 5] {
             let _ = delegate(&mut c, VpeId(0), VpeId(v), root);
         }
         let before = c.total_caps();
-        revoke(&mut c, VpeId(0), root);
+        if batching {
+            let item = Syscall::Revoke { sel: root, own: true };
+            let r = c.syscall(VpeId(0), Syscall::Batch(Box::new([item])));
+            let Ok(SysReplyData::Batch(items)) = r.result else { panic!("batch failed: {r:?}") };
+            assert_eq!(*items, [Ok(SysReplyData::None)]);
+        } else {
+            revoke(&mut c, VpeId(0), root);
+        }
         assert_eq!(c.total_caps(), before - 5, "batching={batching}");
         c.check_invariants();
     }

@@ -64,6 +64,23 @@ fn tree_revocation_parallelism_wins_eventually() {
     assert!(par < local, "at 128 children, 12-kernel revocation ({par}) must beat local ({local})");
 }
 
+/// §5.2's proposed revoke-message batching: the wide-tree revoke issued
+/// as a one-item batch (one grouped request per kernel) beats the
+/// per-child fan-out on the widest tree and on a small one.
+#[test]
+fn batched_tree_revoke_beats_per_child() {
+    for (children, kernels) in [(128, 12), (16, 4)] {
+        let mut m = MicroMachine::new(13, 12, KernelMode::SemperOS);
+        let plain = m.measure_tree_revoke(children, kernels);
+        let batched = m.measure_tree_revoke_batched(children, kernels);
+        assert!(
+            batched < plain,
+            "{children} children over {kernels} kernels: batched ({batched}) must beat \
+             per-child ({plain})"
+        );
+    }
+}
+
 #[test]
 fn all_apps_run_to_completion_and_match_table4() {
     let mut cfg = MachineConfig::small();
