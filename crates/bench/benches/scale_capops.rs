@@ -1097,7 +1097,7 @@ fn main() {
     println!("suite wall-clock: {wall_ms_total:.1} ms at {threads} thread(s)");
 
     let mut fields = vec![
-        ("pr", Val::U(13)),
+        ("pr", Val::U(14)),
         ("bench", Val::S("scale_capops".into())),
         ("smoke", Val::U(u64::from(smoke))),
         // Harness-level fields (PR 8): worker count and total suite

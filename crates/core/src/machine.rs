@@ -336,7 +336,11 @@ impl Machine {
         self.sched.now()
     }
 
-    /// Events processed so far.
+    /// Events processed so far, counted as the retry-loop engine popped
+    /// them: a message that finds its PE busy counts one more pop each
+    /// time it is retried at the PE's free time. This is the schedule's
+    /// logical pop count, not the number of real heap pops, which the
+    /// stall lanes keep far lower (see [`semper_sim::sched`]).
     pub fn events(&self) -> u64 {
         self.sched.processed()
     }

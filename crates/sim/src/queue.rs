@@ -45,12 +45,19 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: Cycles,
     popped: u64,
+    virtual_pops: u64,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> EventQueue<E> {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: Cycles::ZERO, popped: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: Cycles::ZERO,
+            popped: 0,
+            virtual_pops: 0,
+        }
     }
 
     /// Current simulated time (the timestamp of the last popped event).
@@ -58,9 +65,10 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events processed so far.
+    /// Number of events processed so far, virtual pops included (see
+    /// [`EventQueue::add_virtual_pops`]).
     pub fn processed(&self) -> u64 {
-        self.popped
+        self.popped + self.virtual_pops
     }
 
     /// Number of events currently pending.
@@ -93,16 +101,61 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        self.popped += 1;
-        Some((entry.at, entry.event))
+        self.pop_keyed().map(|(at, _, event)| (at, event))
     }
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Cycles> {
         self.heap.peek().map(|e| e.at)
+    }
+
+    // ----- entries that stand for a range of sequence numbers ------------
+    //
+    // The stall lanes (`crate::sched`) let one heap entry stand for a run
+    // of consecutive sequence numbers. These helpers expose exactly what
+    // that needs and nothing more.
+
+    /// [`EventQueue::pop`], also returning the entry's sequence number.
+    #[inline]
+    pub(crate) fn pop_keyed(&mut self) -> Option<(Cycles, u64, E)> {
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now);
+        self.now = entry.at;
+        self.popped += 1;
+        Some((entry.at, entry.seq, entry.event))
+    }
+
+    /// The sequence number the next [`EventQueue::schedule`] would draw.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Consumes `k` sequence numbers without scheduling anything;
+    /// returns the first. Pair with [`EventQueue::reinsert`] to key one
+    /// entry by the first number of a reserved range.
+    pub(crate) fn reserve(&mut self, k: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += k;
+        first
+    }
+
+    /// Schedules `event` under an already-consumed sequence number
+    /// `seq`, which no other pending entry may hold.
+    pub(crate) fn reinsert(&mut self, at: Cycles, seq: u64, event: E) {
+        debug_assert!(at >= self.now && seq < self.next_seq);
+        self.heap.push(Entry { at, seq, event });
+    }
+
+    /// Counts `k` pops that a range entry stands for but that never
+    /// touched the heap.
+    pub(crate) fn add_virtual_pops(&mut self, k: u64) {
+        self.virtual_pops += k;
+    }
+
+    /// Real heap pops so far, virtual pops excluded.
+    #[cfg(test)]
+    pub(crate) fn heap_pops(&self) -> u64 {
+        self.popped
     }
 }
 

@@ -2,41 +2,59 @@
 //!
 //! Every PE of the simulated machine serializes its handlers: an event
 //! arriving while the PE is still executing must wait until the PE
-//! frees. The original engine expressed that wait by pushing the whole
-//! event back into the global heap (timestamped at `busy_until`) every
-//! time it popped too early — O(log n) heap churn *and* a full event
-//! move per retry, paid once per deferral hop on the hottest paths
-//! (kernel PEs under syscall bursts are busy almost continuously).
+//! frees. The original engine expressed that wait by pushing the event
+//! back into the global heap, timestamped at `busy_until`, every time it
+//! popped too early. That retry loop is the ordering contract this
+//! module reproduces exactly, at a fraction of its host cost: under a
+//! wide fan-in it re-popped every waiting event each time the PE freed,
+//! so draining n messages parked at one PE cost O(n²) heap operations.
 //!
-//! [`PeSchedule`] replaces the retry loop with per-PE *stall lanes*:
-//! a deferred event is parked exactly once in its destination PE's lane
-//! (an O(1) slot write; the event is never moved again until delivery)
-//! and a pointer-sized wake token rides the heap in its place. Lanes
-//! drain when `busy_until` passes: the token pops at the PE's free
-//! time and hands the parked event out of the lane.
+//! [`PeSchedule`] parks a deferred event once, in its destination PE's
+//! stall lane (a slab; the event is not moved again until delivery),
+//! and links parked events into *runs*. A run is a chain of parked
+//! events of one PE standing for consecutive sequence numbers at one
+//! timestamp: exactly the retry loop's entries `(t, s)`, `(t, s+1)`, …,
+//! `(t, s+k-1)`. The heap carries one entry per run, keyed `(t, s)`.
 //!
 //! # Ordering contract (bit-identical to the retry loop)
 //!
-//! The global heap remains the *sole* ordering authority. A wake token
-//! is scheduled at exactly the timestamp the old engine would have
-//! rescheduled the event at (`busy_until` as of the deferral), and it
-//! consumes one sequence number at exactly the same moment the old
-//! requeue did — including on re-deferral, when a token pops at the
-//! PE's former free time but an earlier same-cycle event claimed the
-//! PE first. Same-cycle contenders therefore interleave with freshly
-//! delivered traffic in precisely the order the retry loop produced,
-//! [`PeSchedule::processed`] counts the same pops, and every handler
-//! runs at the same cycle. `tests/scheduler.rs` checks this equivalence
-//! against a reference model on randomized workloads; the golden
-//! assertions in `tests/determinism.rs` pin it to recorded cycle
-//! counts.
+//! The global heap remains the sole ordering authority, and each rule
+//! below is the retry loop's own behaviour restated for a run of k
+//! events:
+//!
+//! - **PE still busy when a run pops.** The retry loop would pop the
+//!   run's k entries back to back: no other entry holds a sequence
+//!   number in `s..s+k`, every other entry at `t` sorts after them, and
+//!   no handler runs in between, so `busy_until` cannot change. It would
+//!   push each one back at `busy_until` under the next k fresh sequence
+//!   numbers, in run order. The run therefore re-defers whole under k
+//!   consecutive fresh numbers, and [`PeSchedule::processed`] grows by k.
+//! - **PE free when a run pops.** The head delivers, as its entry
+//!   `(t, s)` would have. The remainder goes back to the heap under its
+//!   already-consumed key `(t, s+1)`.
+//! - **Coalescing.** Parking an event, or re-deferring a run, appends to
+//!   the newest run (the one that drew sequence numbers last) instead of
+//!   adding a heap entry when that run belongs to the same PE, is at the
+//!   same timestamp and ends exactly at the queue's next sequence number.
+//!   Nothing was scheduled since, so the appended numbers are exactly the
+//!   ones the retry loop would have drawn, and the merged run still
+//!   stands for one consecutive range.
+//!
+//! Every handler thus runs at the same cycle in the same order, and
+//! `processed` counts the same pops. But a busy PE's parked events
+//! re-defer as a few runs rather than one heap entry each, so draining
+//! a wide fan-in takes heap work linear in its width (pinned on a
+//! 4,096-event burst by this module's tests). `tests/scheduler.rs` checks the equivalence against a retry-loop
+//! reference on randomized workloads, wide fan-in included; the golden
+//! assertions in `tests/determinism.rs` pin it to recorded cycle counts.
 
 use crate::queue::EventQueue;
 use crate::time::Cycles;
 
-/// Heap entry: either a fresh delivery or a wake token pointing at a
-/// parked event. Tokens are what make deferral cheap — the event
-/// payload stays in the lane while the token rides the heap.
+/// End of a slot chain; also "no run".
+const NIL: u32 = u32::MAX;
+
+/// Heap entry: a fresh delivery or a run of parked events.
 enum Tok<E> {
     /// An event on its first trip through the queue.
     Deliver {
@@ -45,22 +63,20 @@ enum Tok<E> {
         /// The event itself.
         event: E,
     },
-    /// A deferred event parked in `pe`'s stall lane at `slot`.
-    Wake {
-        /// Destination PE (owner of the lane).
-        pe: u32,
-        /// Slot in the lane's slab.
-        slot: u32,
-    },
+    /// A run of parked events: an index into `PeSchedule::runs`.
+    Run(u32),
 }
 
-/// One PE's stall lane: a slab of parked events with a free list.
-///
-/// Delivery order among parked events is dictated by their wake tokens
-/// in the global heap (see the module docs), so the lane itself needs
-/// no internal ordering — just O(1) park and take.
+/// A parked event and the link to the next event of its run.
+struct Slot<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// One PE's stall lane: a slab of parked events with a free list. The
+/// runs thread their order through the slots' links.
 struct Lane<E> {
-    slots: Vec<Option<E>>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
 }
 
@@ -71,24 +87,49 @@ impl<E> Default for Lane<E> {
 }
 
 impl<E> Lane<E> {
+    /// Parks `event` as a one-event chain; returns its slot.
     fn park(&mut self, event: E) -> u32 {
+        let slot = Slot { event: Some(event), next: NIL };
         match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(event);
-                slot
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
             }
             None => {
-                self.slots.push(Some(event));
+                self.slots.push(slot);
                 (self.slots.len() - 1) as u32
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> E {
-        let e = self.slots[slot as usize].take().expect("wake token points at a parked event");
+    /// Takes the event out of `slot`; returns it with the slot's link.
+    fn take(&mut self, slot: u32) -> (E, u32) {
+        let s = &mut self.slots[slot as usize];
+        let event = s.event.take().expect("a run links only parked events");
         self.free.push(slot);
-        e
+        (event, s.next)
     }
+}
+
+/// A run: the `len` parked events `head..=tail` of PE `pe`, linked
+/// through their slots. They stand for `len` consecutive sequence
+/// numbers, starting at the key of the run's heap entry.
+#[derive(Clone, Copy)]
+struct Run {
+    pe: u32,
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// The run that drew sequence numbers last, with its timestamp and the
+/// number after its range: the only run that may still end at the
+/// queue's next sequence number.
+#[derive(Clone, Copy)]
+struct Newest {
+    run: u32,
+    at: Cycles,
+    end: u64,
 }
 
 /// A deterministic event schedule over a fixed set of serializing PEs.
@@ -101,6 +142,10 @@ pub struct PeSchedule<E> {
     queue: EventQueue<Tok<E>>,
     busy_until: Vec<Cycles>,
     lanes: Vec<Lane<E>>,
+    /// Run records; the free ones are listed in `free_runs`.
+    runs: Vec<Run>,
+    free_runs: Vec<u32>,
+    newest: Option<Newest>,
     parked: usize,
 }
 
@@ -111,6 +156,9 @@ impl<E> PeSchedule<E> {
             queue: EventQueue::new(),
             busy_until: vec![Cycles::ZERO; pes],
             lanes: (0..pes).map(|_| Lane::default()).collect(),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            newest: None,
             parked: 0,
         }
     }
@@ -120,27 +168,16 @@ impl<E> PeSchedule<E> {
         self.queue.now()
     }
 
-    /// Heap pops so far. Counts wake-token pops exactly as the old
-    /// engine counted retry pops, so event totals are comparable across
-    /// the refactor.
+    /// Pops the retry loop would have made so far. A run re-deferring k
+    /// events counts k pops for its one heap pop, so event totals stay
+    /// comparable with the retry-loop engine.
     pub fn processed(&self) -> u64 {
         self.queue.processed()
-    }
-
-    /// Entries currently in the heap (each parked event holds exactly
-    /// one wake token, so parked events are included).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Events currently parked in stall lanes (diagnostics).
     pub fn parked(&self) -> usize {
         self.parked
-    }
-
-    /// True if nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// The time `pe` is busy until.
@@ -165,22 +202,17 @@ impl<E> PeSchedule<E> {
         self.queue.schedule(at, Tok::Deliver { pe: pe as u32, event });
     }
 
-    /// Timestamp of the earliest pending entry (delivery or wake).
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.queue.peek_time()
-    }
-
     /// Pops the next event whose PE is free at its delivery time,
     /// advancing `now`; returns `None` when the queue is empty.
     ///
     /// Events popping while their PE is busy are parked in the PE's
-    /// stall lane (once — the event is not touched again until
-    /// delivery) and replaced by a wake token at the PE's free time.
-    /// A token popping while the PE is busy again (an earlier same-cycle
-    /// event won the PE) is rescheduled at the new free time, consuming
-    /// a fresh sequence number exactly as the old retry loop did.
+    /// stall lane (once: the event is not touched again until delivery)
+    /// and deferred to the PE's free time in a run; a run popping while
+    /// its PE is busy again (an earlier same-cycle event won the PE)
+    /// re-defers whole. See the module docs for why this is the retry
+    /// loop's exact order.
     pub fn pop_ready(&mut self) -> Option<(Cycles, usize, E)> {
-        self.pop_ready_bounded(None)
+        self.pop_ready_before(Cycles::MAX)
     }
 
     /// Like [`PeSchedule::pop_ready`], but never pops a heap entry
@@ -191,40 +223,106 @@ impl<E> PeSchedule<E> {
     /// their requeued entries in the heap the same way. May park
     /// in-deadline entries (consuming pops) and still return `None`.
     pub fn pop_ready_before(&mut self, deadline: Cycles) -> Option<(Cycles, usize, E)> {
-        self.pop_ready_bounded(Some(deadline))
-    }
-
-    fn pop_ready_bounded(&mut self, deadline: Option<Cycles>) -> Option<(Cycles, usize, E)> {
         loop {
-            if let Some(deadline) = deadline {
-                if self.queue.peek_time()? > deadline {
-                    return None;
-                }
+            if self.queue.peek_time()? > deadline {
+                return None;
             }
-            let (t, tok) = self.queue.pop()?;
+            let (t, seq, tok) = self.queue.pop_keyed()?;
             match tok {
                 Tok::Deliver { pe, event } => {
                     let busy = self.busy_until[pe as usize];
-                    if busy > t {
-                        let slot = self.lanes[pe as usize].park(event);
-                        self.parked += 1;
-                        self.queue.schedule(busy, Tok::Wake { pe, slot });
-                        continue;
+                    if busy <= t {
+                        return Some((t, pe as usize, event));
                     }
-                    return Some((t, pe as usize, event));
+                    self.park(pe, busy, event);
                 }
-                Tok::Wake { pe, slot } => {
-                    let busy = self.busy_until[pe as usize];
-                    if busy > t {
-                        self.queue.schedule(busy, Tok::Wake { pe, slot });
-                        continue;
+                Tok::Run(r) => {
+                    if let Some(ready) = self.pop_run(t, seq, r) {
+                        return Some(ready);
                     }
-                    let event = self.lanes[pe as usize].take(slot);
-                    self.parked -= 1;
-                    return Some((t, pe as usize, event));
                 }
             }
         }
+    }
+
+    // `park` and `pop_run` stay out of line so that the uncontended
+    // delivery path, most of all pops, remains a tight loop.
+
+    /// Parks `event`, which found `pe` busy until `busy`.
+    #[inline(never)]
+    fn park(&mut self, pe: u32, busy: Cycles, event: E) {
+        let slot = self.lanes[pe as usize].park(event);
+        self.parked += 1;
+        self.defer(pe, busy, slot, slot, 1, NIL);
+    }
+
+    /// Handles run `r` popped under key `(t, seq)`: delivers its head if
+    /// the PE is free, else re-defers the whole run.
+    #[inline(never)]
+    fn pop_run(&mut self, t: Cycles, seq: u64, r: u32) -> Option<(Cycles, usize, E)> {
+        let Run { pe, head, tail, len } = self.runs[r as usize];
+        let busy = self.busy_until[pe as usize];
+        if busy > t {
+            self.queue.add_virtual_pops(u64::from(len - 1));
+            self.defer(pe, busy, head, tail, len, r);
+            return None;
+        }
+        let (event, next) = self.lanes[pe as usize].take(head);
+        self.parked -= 1;
+        if len == 1 {
+            self.free_run(r);
+        } else {
+            self.runs[r as usize].head = next;
+            self.runs[r as usize].len = len - 1;
+            self.queue.reinsert(t, seq + 1, Tok::Run(r));
+        }
+        Some((t, pe as usize, event))
+    }
+
+    /// Defers the chain `head..=tail` of `k` parked events of `pe` to
+    /// `at` under `k` fresh sequence numbers. `r` is the chain's run
+    /// record, out of the heap, or `NIL` for a freshly parked event.
+    fn defer(&mut self, pe: u32, at: Cycles, head: u32, tail: u32, k: u32, r: u32) {
+        let next_seq = self.queue.next_seq();
+        if let Some(newest) = &mut self.newest {
+            let run = &mut self.runs[newest.run as usize];
+            if run.pe == pe && newest.at == at && newest.end == next_seq {
+                self.lanes[pe as usize].slots[run.tail as usize].next = head;
+                run.tail = tail;
+                run.len += k;
+                newest.end += u64::from(k);
+                self.queue.reserve(u64::from(k));
+                if r != NIL {
+                    // `r` popped at an earlier time than `at`, so it is
+                    // not the newest run and needs no `free_run`.
+                    debug_assert_ne!(newest.run, r);
+                    self.free_runs.push(r);
+                }
+                return;
+            }
+        }
+        let run = Run { pe, head, tail, len: k };
+        let r = if r != NIL {
+            self.runs[r as usize] = run;
+            r
+        } else if let Some(r) = self.free_runs.pop() {
+            self.runs[r as usize] = run;
+            r
+        } else {
+            self.runs.push(run);
+            (self.runs.len() - 1) as u32
+        };
+        let seq = self.queue.reserve(u64::from(k));
+        self.queue.reinsert(at, seq, Tok::Run(r));
+        self.newest = Some(Newest { run: r, at, end: seq + u64::from(k) });
+    }
+
+    /// Returns run record `r` to the free list.
+    fn free_run(&mut self, r: u32) {
+        if self.newest.is_some_and(|n| n.run == r) {
+            self.newest = None;
+        }
+        self.free_runs.push(r);
     }
 }
 
@@ -287,19 +385,101 @@ mod tests {
         assert_eq!(s.pop_ready(), Some((Cycles(5), 0, 2)));
     }
 
+    /// PE 1 traffic beside the burst: a tick, and the follow-up its
+    /// handler schedules.
+    const TICK: u64 = u64::MAX;
+    const FOLLOW_UP: u64 = u64::MAX - 1;
+
+    /// Schedules one round of the burst: `n` events for PE 0 arrive one
+    /// per cycle while PE 0 is busy, each beside a tick on PE 1. Every
+    /// tick's handler schedules a follow-up, which draws a sequence
+    /// number between two parks, so each parked event starts a run of
+    /// its own; the runs merge once they re-defer.
+    fn burst_round(n: u64, base: u64, mut schedule: impl FnMut(Cycles, usize, u64)) -> Cycles {
+        for i in 0..n {
+            schedule(Cycles(base + 1 + i), 0, i);
+            schedule(Cycles(base + 1 + i), 1, TICK);
+        }
+        Cycles(base + n + 10)
+    }
+
+    /// The handler of `e` on `pe` delivered at `t`: returns its end
+    /// time and the follow-up it schedules, if any.
+    fn handle(t: Cycles, pe: usize, e: u64, base: u64) -> (Cycles, Option<Cycles>) {
+        match (pe, e) {
+            (1, TICK) => (t, Some(Cycles(base + 500_000))),
+            (1, _) => (t, None),
+            _ => (t + 1, None),
+        }
+    }
+
+    /// The retry loop's pop count for one [`burst_round`]: every event
+    /// pops once on arrival, ticks and follow-ups never wait, and each
+    /// delivery on PE 0 re-pops everything still waiting there.
+    fn retry_loop_pops(n: u64) -> u64 {
+        n + n * (n + 1) / 2 + 2 * n
+    }
+
+    /// [`retry_loop_pops`] by running the retry loop itself.
+    fn run_retry_loop(n: u64) -> u64 {
+        let mut q: EventQueue<(usize, u64)> = EventQueue::new();
+        let mut busy = [burst_round(n, 0, |at, pe, e| q.schedule(at, (pe, e))), Cycles::ZERO];
+        while let Some((t, (pe, e))) = q.pop() {
+            if busy[pe] > t {
+                q.schedule(busy[pe], (pe, e));
+                continue;
+            }
+            let (end, follow_up) = handle(t, pe, e, 0);
+            busy[pe] = end;
+            if let Some(at) = follow_up {
+                q.schedule(at, (pe, FOLLOW_UP));
+            }
+        }
+        q.processed()
+    }
+
     #[test]
     fn lane_slots_are_reused() {
-        let mut s: PeSchedule<u32> = PeSchedule::new(1);
-        for round in 0..3u32 {
-            let base = u64::from(round) * 100;
-            s.schedule(Cycles(base + 1), 0, 1);
-            s.schedule(Cycles(base + 2), 0, 2);
-            let _ = s.pop_ready().unwrap();
-            s.set_busy(0, Cycles(base + 50));
-            assert_eq!(s.pop_ready(), Some((Cycles(base + 50), 0, 2)));
-            s.set_busy(0, Cycles(base + 51));
+        for n in 1..40 {
+            assert_eq!(run_retry_loop(n), retry_loop_pops(n), "closed form, n = {n}");
         }
-        // One deferral per round, always through the same recycled slot.
-        assert_eq!(s.lanes[0].slots.len(), 1);
+        // A 4,096-event burst onto one busy PE, three rounds over.
+        const N: u64 = 4096;
+        let mut s: PeSchedule<u64> = PeSchedule::new(2);
+        let mut footprint = None;
+        for round in 0..3u64 {
+            let base = round * 1_000_000;
+            let busy = burst_round(N, base, |at, pe, e| s.schedule(at, pe, e));
+            s.set_busy(0, busy);
+            let (pops, heap_pops) = (s.processed(), s.queue.heap_pops());
+            let (mut next, mut delivered) = (0, 0);
+            while let Some((t, pe, e)) = s.pop_ready() {
+                delivered += 1;
+                if pe == 0 {
+                    assert_eq!(e, next, "round {round}: arrival order");
+                    next += 1;
+                }
+                let (end, follow_up) = handle(t, pe, e, base);
+                s.set_busy(pe, end);
+                if let Some(at) = follow_up {
+                    s.schedule(at, pe, FOLLOW_UP);
+                }
+            }
+            assert_eq!(next, N);
+            assert_eq!(s.parked(), 0);
+            // Logical pops: the quadratic retry-loop count, exactly.
+            assert_eq!(s.processed() - pops, retry_loop_pops(N), "round {round}");
+            // Real heap work is linear. The heap drains, so its pushes
+            // equal its pops.
+            assert!(s.queue.is_empty());
+            let real = s.queue.heap_pops() - heap_pops;
+            assert!(
+                real <= 4 * delivered,
+                "round {round}: {real} heap pops, {delivered} deliveries"
+            );
+            // Lane slots and run records come back for the next round.
+            let now = (s.lanes[0].slots.len(), s.runs.len());
+            assert_eq!(*footprint.get_or_insert(now), now, "round {round}: storage grew");
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! "requeue into the global heap until the PE is free" retry loop. Its
 //! contract is *exact trace equivalence*: for any workload, every event
 //! is delivered at the same cycle, in the same order, with the same
-//! number of heap pops, as the retry loop produced — including
+//! pop count, as the retry loop produced — including
 //! same-cycle tie-breaks, where a deferred event competes with freshly
 //! arriving traffic at the instant its PE frees.
 //!
@@ -13,7 +13,9 @@
 //! the destination is busy, push the whole event back at `busy_until`.
 //! [`DetRng`]-randomized workloads (bursty arrivals on a small time
 //! window, zero-cost handlers, fan-out follow-up events) then drive
-//! both engines and compare full traces.
+//! both engines and compare full traces. The pop count compared is
+//! [`PeSchedule::processed`], which reports the retry loop's pops even
+//! though a run of parked events re-defers as one heap entry.
 
 use semper_sim::{Cycles, DetRng, EventQueue, PeSchedule};
 
@@ -127,8 +129,8 @@ fn initial_burst(seed: u64, pes: usize, n: u64, window: u64, gen: u8) -> Vec<(Cy
 /// traffic, the stall-lane engine delivers the exact same
 /// (cycle, event, pe) trace as the retry-loop reference — same
 /// delivery order among same-cycle contenders, same final time, and
-/// the same number of heap pops (so `Machine::events` is comparable
-/// across the refactor).
+/// the same pop count (so `Machine::events` is comparable across
+/// engines).
 #[test]
 fn randomized_workloads_match_reference_trace() {
     for seed in 0..16u64 {
@@ -169,9 +171,9 @@ fn same_cycle_burst_delivers_in_arrival_order() {
 }
 
 /// Deep deferral chains: a PE kept busy by a steady drip of work while
-/// a low-priority burst waits. Exercises repeated re-deferral (a wake
-/// token losing the free cycle to an earlier same-cycle contender
-/// several times in a row).
+/// a low-priority burst waits. Exercises repeated re-deferral (a run
+/// losing the free cycle to an earlier same-cycle contender several
+/// times in a row).
 #[test]
 fn repeated_redeferral_matches_reference() {
     for seed in 0..8u64 {
@@ -268,6 +270,114 @@ fn deadline_bounded_drain_matches_reference() {
             }
             assert_eq!(lane_trace, ref_trace, "seed {seed} deadline {deadline}: tail after resume");
         }
+    }
+}
+
+/// The retry loop, one step of `Machine::step_bounded`: pops until it
+/// delivers an event (running its handler) or the head of the queue
+/// lies past `deadline`.
+fn reference_step(
+    w: &Workload,
+    queue: &mut EventQueue<Ev>,
+    busy_until: &mut [Cycles],
+    deadline: Cycles,
+) -> Option<(u64, u64, usize)> {
+    loop {
+        if queue.peek_time()? > deadline {
+            return None;
+        }
+        let (t, ev) = queue.pop().expect("peeked");
+        if busy_until[ev.pe] > t {
+            queue.schedule(busy_until[ev.pe], ev);
+            continue;
+        }
+        let end = t + w.cost(ev.id);
+        busy_until[ev.pe] = end;
+        for (at, child) in w.followups(ev, end) {
+            queue.schedule(at, child);
+        }
+        return Some((t.0, ev.id, ev.pe));
+    }
+}
+
+/// The fan-in of a spanning wide-tree revoke: thousands of events
+/// converge on one PE with staggered arrivals. Traffic on the other PEs
+/// spawns follow-ups that land on the hot PE too, and same-cycle walls
+/// hit it and its neighbours, so the hot PE's runs constantly form,
+/// split and merge. Zero-cost handlers come from the workload's costs.
+fn wide_fan_in(seed: u64, pes: usize) -> Vec<(Cycles, Ev)> {
+    let mut rng = DetRng::seed_from(seed);
+    let mut initial: Vec<(Cycles, Ev)> =
+        (0..2400).map(|id| (Cycles(rng.below(7000)), Ev { id, pe: 0, gen: 0 })).collect();
+    for id in 10_000..10_300 {
+        let pe = 1 + rng.below(pes as u64 - 1) as usize;
+        initial.push((Cycles(rng.below(7000)), Ev { id, pe, gen: 2 }));
+    }
+    for (wall, at) in [37u64, 2500, 2501, 6000].into_iter().enumerate() {
+        for j in 0..48u64 {
+            let id = 20_000 + wall as u64 * 100 + j;
+            initial.push((Cycles(at), Ev { id, pe: (j % 3) as usize, gen: 1 }));
+        }
+    }
+    initial
+}
+
+/// Wide fan-in against the retry-loop reference: the same trace, pop
+/// count and final time, both draining freely and stepping one
+/// delivery at a time under moving deadlines. Some deadlines fall
+/// below the current cycle, right after a run's head delivered, and
+/// so must leave the run's remainder pending until a later step.
+#[test]
+fn wide_fan_in_matches_reference() {
+    for seed in 0..2u64 {
+        let w = Workload { seed: 0xFA41 ^ seed, pes: 4 };
+        let initial = wide_fan_in(w.seed, w.pes);
+        let (ref_trace, ref_pops, ref_now) = reference_trace(&w, &initial);
+        let (lane_trace, lane_pops, lane_now) = stall_lane_trace(&w, &initial);
+        assert_eq!(lane_trace, ref_trace, "seed {seed}: free drain");
+        assert_eq!((lane_pops, lane_now), (ref_pops, ref_now), "seed {seed}: free drain");
+        // The hot PE really stalled: quadratic retry-loop pops.
+        assert!(ref_pops > 50 * ref_trace.len() as u64, "seed {seed}: {ref_pops} pops");
+
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        let mut busy_until = vec![Cycles::ZERO; w.pes];
+        let mut sched: PeSchedule<Ev> = PeSchedule::new(w.pes);
+        for (at, ev) in &initial {
+            queue.schedule(*at, *ev);
+            sched.schedule(*at, ev.pe, *ev);
+        }
+        let mut rng = DetRng::seed_from(w.seed ^ 0xD1);
+        let (mut steps, mut held_back) = (0u64, 0u64);
+        while !queue.is_empty() {
+            let now = queue.now().0;
+            let deadline = Cycles(match rng.below(5) {
+                0 => now.saturating_sub(1 + rng.below(3)),
+                1 => now,
+                2 | 3 => now + rng.below(4),
+                _ => now + 50,
+            });
+            let want = reference_step(&w, &mut queue, &mut busy_until, deadline);
+            let got = sched.pop_ready_before(deadline).map(|(t, pe, ev)| {
+                let end = t + w.cost(ev.id);
+                sched.set_busy(pe, end);
+                for (at, child) in w.followups(ev, end) {
+                    sched.schedule(at, child.pe, child);
+                }
+                (t.0, ev.id, pe)
+            });
+            assert_eq!(got, want, "seed {seed} step {steps}: deadline {deadline}");
+            assert_eq!(
+                (sched.processed(), sched.now()),
+                (queue.processed(), queue.now()),
+                "seed {seed} step {steps}: counters"
+            );
+            if want.is_none() && deadline.0 < now && sched.parked() > 0 {
+                held_back += 1;
+            }
+            steps += 1;
+        }
+        assert_eq!(sched.parked(), 0);
+        assert!(held_back > 100, "seed {seed}: deadlines below now held back {held_back} times");
     }
 }
 
