@@ -38,19 +38,16 @@ pub enum KernelMode {
 /// Optional protocol features (for ablation experiments).
 ///
 /// §5.2's revoke-message batching is not a flag: revokes issued as one
-/// `Syscall::Batch` always send one grouped request per remote kernel.
+/// `Syscall::Batch` always send one grouped request per remote kernel,
+/// and m3fs always closes a multi-extent file with one batch. Promise
+/// IPC (`Syscall::SubmitAsync`) is not a flag either: every kernel
+/// accepts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
     /// *Disable* the two-way delegate handshake (ablation: demonstrates
     /// the invalid-capability window of the naive protocol; never enable
     /// outside the ablation benchmark).
     OneWayDelegate,
-    /// Services issue their capability operations through
-    /// `Syscall::Batch` where the workload allows it (m3fs batches the
-    /// close-time revokes of a file's delegated extents into one
-    /// message). Off by default so the sequential scenarios stay
-    /// bit-identical; the `*_batched` bench scenarios enable it.
-    SyscallBatching,
     /// Partitioned parallel revocation sweeps: a revoke whose subtree
     /// spans several kernels (or exceeds a fan-out threshold) is driven
     /// as a two-phase mark → delete protocol with one grouped request
@@ -59,16 +56,6 @@ pub enum Feature {
     /// default so every pre-existing scenario and golden stays
     /// bit-identical; the `*_parallel` bench scenarios enable it.
     ParallelSweep,
-    /// Promise-capability IPC: `Syscall::SubmitAsync` returns a
-    /// first-class *promise capability* immediately; the kernel
-    /// pipelines dependent calls naming an unresolved promise (parked in
-    /// the promise's resolution queue, replayed in arrival order on
-    /// resolve) and routes the `Provide`/`Resolve` legs of cross-kernel
-    /// promises through the ops engine. Off by default so
-    /// every pre-existing golden, trace fingerprint, and bench cycle
-    /// count stays bit-identical; the `*_pipelined` scenarios and the
-    /// promise suites enable it.
-    PromiseIpc,
 }
 
 /// Full description of a simulated machine and its OS deployment.
@@ -156,13 +143,9 @@ impl MachineConfig {
 
     /// Kernel thread-pool size per the paper's formula (§4.2):
     /// `V_group + K_max * M_inflight`, where `V_group` is the number of
-    /// VPEs in this kernel's group. With `Feature::PromiseIpc` the VPE
-    /// term doubles: an asynchronous inner execution can hold a thread
-    /// concurrently with the same VPE's blocking syscall.
+    /// VPEs in this kernel's group.
     pub fn thread_pool_size(&self, vpes_in_group: u32) -> u32 {
-        let vpe_term =
-            if self.has_feature(Feature::PromiseIpc) { 2 * vpes_in_group } else { vpes_in_group };
-        vpe_term + self.kernels as u32 * self.max_inflight
+        vpes_in_group + self.kernels as u32 * self.max_inflight
     }
 
     /// Validates structural constraints; returns a human-readable reason
@@ -252,8 +235,8 @@ mod tests {
 
     #[test]
     fn features_builder() {
-        let c = MachineConfig::small().with_feature(Feature::SyscallBatching);
-        assert!(c.has_feature(Feature::SyscallBatching));
+        let c = MachineConfig::small().with_feature(Feature::ParallelSweep);
+        assert!(c.has_feature(Feature::ParallelSweep));
         assert!(!c.has_feature(Feature::OneWayDelegate));
     }
 }

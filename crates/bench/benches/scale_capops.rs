@@ -26,11 +26,11 @@
 //!   revokes as a single `Syscall::Batch` whose coalesced fan-out sends
 //!   one grouped request per peer kernel (`kernel::ops::bulk`). The
 //!   `kcalls_out` field quantifies the cross-kernel message reduction;
-//! * **file workload, sequential vs batched** (new in PR 4) — N tar
-//!   instances against m3fs; in the batched variant the service revokes
-//!   each closed file's delegated extents as one batch
-//!   (`Feature::SyscallBatching`). `revoke_sim_cycles` holds the run's
-//!   makespan;
+//! * **file workload** — N tar instances against m3fs; the service
+//!   revokes each closed file's delegated extents as one batch (m3fs
+//!   has one close path, so the row has no sequential twin and keeps
+//!   its historical name `file_workload_batched`).
+//!   `revoke_sim_cycles` holds the run's makespan;
 //! * **dense table teardown, sequential vs parallel** (new in PR 6) — a
 //!   VPE owns thousands of capabilities, each delegated once so the
 //!   children spread over three peer kernels; teardown revokes all of
@@ -60,7 +60,7 @@
 //!   read-back derive), either as four synchronous syscalls or
 //!   submitted up front through `Syscall::SubmitAsync` with
 //!   dependencies named by their *promise* selector
-//!   (`Feature::PromiseIpc`, `kernel::ops::promise`) and only the
+//!   (`kernel::ops::promise`) and only the
 //!   tail redeemed.
 //!   `revoke_sim_cycles` holds the workload's end-to-end makespan —
 //!   the pipelined twin must finish in strictly fewer simulated
@@ -614,30 +614,26 @@ fn spanning_revoke(n: u32, batched: bool) -> Scenario {
     }
 }
 
-/// File workload, sequential vs batched (the PR 4 service-side twins):
-/// `instances` tar replays against m3fs on a 4-kernel/2-service
-/// machine — fewer services than kernels, so half the clients open
-/// *cross-group* sessions and their extent capabilities span kernels.
-/// The batched variant enables `Feature::SyscallBatching`, so each
-/// file close revokes its delegated extents through one
-/// `Syscall::Batch` instead of one revoke syscall per extent (and the
-/// coalesced fan-out groups the cross-kernel revokes per peer).
-/// `revoke_sim_cycles` holds the run's makespan; `kcalls_out` the
-/// cross-kernel requests of the whole run.
-fn file_workload(instances: u32, batched: bool) -> Scenario {
+/// File workload: `instances` tar replays against m3fs on a
+/// 4-kernel/2-service machine — fewer services than kernels, so half
+/// the clients open *cross-group* sessions and their extent
+/// capabilities span kernels. Each file close revokes its delegated
+/// extents through one `Syscall::Batch` (the coalesced fan-out groups
+/// the cross-kernel revokes per peer). The row keeps its historical
+/// name, `file_workload_batched`, so the cycle gate still compares it
+/// with earlier reports. `revoke_sim_cycles` holds the run's makespan;
+/// `kcalls_out` the cross-kernel requests of the whole run.
+fn file_workload(instances: u32) -> Scenario {
     let mut cfg = MachineConfig::small();
     cfg.num_pes = 24;
     cfg.kernels = 4;
     cfg.services = 2;
     cfg.mesh_width = semper_base::config::mesh_width_for(cfg.num_pes);
-    if batched {
-        cfg = cfg.with_feature(Feature::SyscallBatching);
-    }
     let t = Instant::now();
     let res = run_app_instances(&cfg, AppKind::Tar, instances);
     let total_ms = ms(t);
     Scenario {
-        name: if batched { "file_workload_batched" } else { "file_workload_sequential" },
+        name: "file_workload_batched",
         size: instances,
         build_ms: 0.0,
         revoke_ms: total_ms,
@@ -741,11 +737,10 @@ fn faulted_spanning_teardown(caps: u32) -> Scenario {
 /// off" (delegate the window to the partner VPE in the other group),
 /// then a second read against the root — once as four synchronous
 /// syscalls, once submitted up front through `Syscall::SubmitAsync`
-/// with dependencies named by *promise* selectors
-/// (`Feature::PromiseIpc`) and only the tail redeemed. The pipelined
-/// twin's submissions return immediately, so later clients' submission
-/// round trips overlap the kernel-side delegate work of earlier
-/// chains, and the final read rides the pipeline behind the still
+/// with dependencies named by *promise* selectors and only the tail
+/// redeemed. The pipelined twin's submissions return immediately, so
+/// later clients' submission round trips overlap the kernel-side
+/// delegate work of earlier chains, and the final read rides the pipeline behind the still
 /// in-flight cross-kernel hand-off (the `calls_pipelined` counter).
 /// `revoke_sim_cycles` records the end-to-end makespan of the whole
 /// workload (field name kept stable for the baseline parser) and the
@@ -754,9 +749,6 @@ fn faulted_spanning_teardown(caps: u32) -> Scenario {
 fn service_chain(clients: u16, pipelined: bool) -> Scenario {
     let t = Instant::now();
     let mut m = MicroMachine::new(2, clients, KernelMode::SemperOS);
-    if pipelined {
-        m.machine().enable_feature_everywhere(Feature::PromiseIpc);
-    }
     // Only group-0 clients initiate (round-robin placement: even ids →
     // group 0); their partners in group 1 receive the hand-off.
     let client_vpes: Vec<VpeId> = (0..clients).map(|j| VpeId(j * 2)).collect();
@@ -919,9 +911,8 @@ fn main() {
         ("spanning_revoke_batched", Box::new(move || spanning_revoke(2048 / scale, true))),
         // Floor of 4 instances: with fewer, every client sits in a
         // group that hosts a service instance and no close ever crosses
-        // a kernel — the twins would measure nothing.
-        ("file_workload_sequential", Box::new(move || file_workload((8 / scale).max(4), false))),
-        ("file_workload_batched", Box::new(move || file_workload((8 / scale).max(4), true))),
+        // a kernel.
+        ("file_workload_batched", Box::new(move || file_workload((8 / scale).max(4)))),
         (
             "dense_table_teardown_sequential",
             Box::new(move || dense_table_spanning(10_000 / scale, false)),
@@ -974,25 +965,28 @@ fn main() {
         );
     }
 
-    // The bulk API's acceptance gate: each batched scenario must move
-    // strictly fewer cross-kernel messages than its sequential twin
-    // (deterministic — these are simulated message counts, not timings).
-    for (seq_name, bat_name) in [
-        ("spanning_revoke_sequential", "spanning_revoke_batched"),
-        ("file_workload_sequential", "file_workload_batched"),
-    ] {
-        let seq = scenarios.iter().find(|s| s.name == seq_name).expect("sequential twin");
-        let bat = scenarios.iter().find(|s| s.name == bat_name).expect("batched twin");
+    // The bulk API's acceptance gate: the batched spanning revoke must
+    // move strictly fewer cross-kernel messages than its sequential
+    // twin (deterministic — these are simulated message counts, not
+    // timings).
+    {
+        let seq = scenarios
+            .iter()
+            .find(|s| s.name == "spanning_revoke_sequential")
+            .expect("sequential twin");
+        let bat =
+            scenarios.iter().find(|s| s.name == "spanning_revoke_batched").expect("batched twin");
         assert!(
             bat.kcalls < seq.kcalls,
-            "{bat_name}: {} cross-kernel messages, not fewer than {seq_name}'s {}",
+            "spanning_revoke_batched: {} cross-kernel messages, not fewer than \
+             spanning_revoke_sequential's {}",
             bat.kcalls,
             seq.kcalls
         );
         println!();
         println!(
-            "{bat_name} vs {seq_name}: kcalls {} -> {} ({:.1}x fewer), \
-             sim cycles {} -> {} ({:.2}x)",
+            "spanning_revoke_batched vs spanning_revoke_sequential: kcalls {} -> {} \
+             ({:.1}x fewer), sim cycles {} -> {} ({:.2}x)",
             seq.kcalls,
             bat.kcalls,
             seq.kcalls as f64 / bat.kcalls.max(1) as f64,
@@ -1097,7 +1091,7 @@ fn main() {
     println!("suite wall-clock: {wall_ms_total:.1} ms at {threads} thread(s)");
 
     let mut fields = vec![
-        ("pr", Val::U(14)),
+        ("pr", Val::U(15)),
         ("bench", Val::S("scale_capops".into())),
         ("smoke", Val::U(u64::from(smoke))),
         // Harness-level fields (PR 8): worker count and total suite

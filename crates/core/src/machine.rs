@@ -230,21 +230,14 @@ impl Machine {
                     let kernel_pe = topo.membership.kernel_pe(topo.kernel_of(pe));
                     let (image, region_size) =
                         image_parts.get_or_insert_with(|| build_image(app_clients.max(clients)));
-                    let mut svc = FsService::new(
+                    Node::Service(Box::new(FsService::new(
                         vpe,
                         pe,
                         kernel_pe,
                         cfg.cost,
                         std::sync::Arc::clone(image),
                         *region_size,
-                    );
-                    // The service-side half of syscall batching: close
-                    // one file = one batched revoke of its extents.
-                    svc.set_batched_ops(cfg.has_feature(semper_base::Feature::SyscallBatching));
-                    // The service-side half of promise IPC: close one
-                    // file = pipelined async revokes, tail-waited.
-                    svc.set_pipelined_ops(cfg.has_feature(semper_base::Feature::PromiseIpc));
-                    Node::Service(Box::new(svc))
+                    )))
                 }
                 Role::Client(c) => {
                     let vpe = topo.client_vpes[c as usize];
@@ -912,23 +905,15 @@ impl Machine {
         }
     }
 
-    /// Enables an optional protocol feature on every kernel — and, for
-    /// the features with an actor-side half, on the affected actors
-    /// (ablation benchmarks).
+    /// Enables an optional protocol feature on every kernel (ablation
+    /// benchmarks). Features are kernel-side only; no actor reads them.
     pub fn enable_feature_everywhere(&mut self, f: semper_base::Feature) {
         if !self.cfg.features.contains(&f) {
             self.cfg.features.push(f);
         }
         for node in &mut self.nodes {
-            match node {
-                Node::Kernel(k) => k.enable_feature_for_test(f),
-                Node::Service(s) if f == semper_base::Feature::SyscallBatching => {
-                    s.set_batched_ops(true)
-                }
-                Node::Service(s) if f == semper_base::Feature::PromiseIpc => {
-                    s.set_pipelined_ops(true)
-                }
-                _ => {}
+            if let Node::Kernel(k) = node {
+                k.enable_feature_for_test(f);
             }
         }
     }
@@ -1151,19 +1136,8 @@ mod tests {
     }
 
     #[test]
-    fn submit_async_without_feature_rejected() {
-        let mut m = micro(1, 2);
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
-        );
-        assert_eq!(r.result.unwrap_err().code(), semper_base::Code::NotSupported);
-    }
-
-    #[test]
     fn promise_submit_wait_roundtrip() {
         let mut m = micro(1, 2);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         let (r, submit_cycles) = m.syscall_blocking(
             VpeId(0),
             Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
@@ -1192,7 +1166,6 @@ mod tests {
         // gate a CreateMem promise behind a slow cross-kernel delegate
         // (program order), then name it before it can resolve.
         let mut m = micro(2, 4);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         let (r, _) =
             m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
         let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
@@ -1230,9 +1203,64 @@ mod tests {
     }
 
     #[test]
+    fn batch_items_do_not_resolve_promise_selectors() {
+        // Promise selectors are not batch operands: a `Syscall::Batch`
+        // bypasses the dependent-call path, so its items look the
+        // selector up in the capability table and fail per item, while
+        // the rest of the batch still runs. Only a standalone revoke of
+        // the selector severs the promise handle.
+        let mut m = micro(2, 4);
+        let (r, _) =
+            m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
+        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
+        // Gate a CreateMem promise behind a slow cross-kernel delegate
+        // so it is still unresolved when the batch arrives.
+        let (r, _) = m.syscall_blocking(
+            VpeId(0),
+            Syscall::SubmitAsync(Box::new(Syscall::Exchange {
+                other: VpeId(1),
+                own_sel: sel,
+                other_sel: semper_base::CapSel::INVALID,
+                kind: semper_base::ExchangeKind::Delegate,
+            })),
+        );
+        let Ok(SysReplyData::Promise { .. }) = r.result else { panic!("{r:?}") };
+        let (r, _) = m.syscall_blocking(
+            VpeId(0),
+            Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 8192, perms: Perms::RW })),
+        );
+        let Ok(SysReplyData::Promise { sel: p }) = r.result else { panic!("{r:?}") };
+        let batch = vec![
+            Syscall::DeriveMem { src: p, offset: 0, size: 4096, perms: Perms::R },
+            Syscall::Noop,
+            Syscall::Revoke { sel: p, own: true },
+        ];
+        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::Batch(batch.into()));
+        let Ok(SysReplyData::Batch(results)) = r.result else { panic!("{r:?}") };
+        let codes: Vec<_> = results.iter().map(|r| r.as_ref().map_err(|e| e.code())).collect();
+        assert_eq!(
+            codes,
+            [
+                Err(semper_base::Code::NoSuchCap),
+                Ok(&SysReplyData::None),
+                Err(semper_base::Code::NoSuchCap)
+            ]
+        );
+        // Only the gated submission pipelined; no batch item parked.
+        assert_eq!(m.kernel_stats()[0].calls_pipelined, 1);
+        // The handle survived the batch; a standalone revoke severs it.
+        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::Revoke { sel: p, own: true });
+        assert!(r.result.is_ok(), "{r:?}");
+        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel: p, block: false });
+        assert_eq!(r.result.unwrap_err().code(), semper_base::Code::NoSuchCap);
+        m.run_until_idle();
+        m.check_invariants();
+        m.assert_quiescent();
+    }
+
+    #[test]
     fn promise_chain_runs_in_program_order() {
         let mut m = micro(1, 2);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         // Three async submissions back to back; only then wait on the
         // last. Program-order gating must execute them sequentially, so
         // all three are resolved when the tail redeems.
@@ -1261,7 +1289,6 @@ mod tests {
     #[test]
     fn promise_handle_revoke_severs_binding() {
         let mut m = micro(1, 2);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         let (r, _) = m.syscall_blocking(
             VpeId(0),
             Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
@@ -1281,7 +1308,6 @@ mod tests {
     #[test]
     fn promise_cross_kernel_delegate_resolves() {
         let mut m = micro(2, 4);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         // VPE 0 (group 0) creates memory and async-delegates it to
         // VPE 1 (group 1) — the eager provide prefetches the receiver's
         // consent across kernels while the operand gate is still shut.

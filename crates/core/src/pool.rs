@@ -208,7 +208,7 @@ mod tests {
     fn feature_mutated_machines_are_not_pooled() {
         let mut pool = MachinePool::new();
         let mut m = pool.take(1, 2, KernelMode::M3);
-        m.machine().enable_feature_everywhere(semper_base::Feature::SyscallBatching);
+        m.machine().enable_feature_everywhere(semper_base::Feature::ParallelSweep);
         pool.put(m);
         assert_eq!(pool.idle(), 0, "a feature-mutated machine must be dropped, not pooled");
     }

@@ -100,9 +100,9 @@ pub struct Kernel {
     /// [`crate::ops::faults`]).
     pub(crate) fault: crate::ops::faults::FaultState,
 
-    /// Promise resolution state, by raw promise key
-    /// (`Feature::PromiseIpc`; see [`crate::ops::promise`]). Never
-    /// iterated on protocol paths without sorting first.
+    /// Promise resolution state, by raw promise key (see
+    /// [`crate::ops::promise`]). Never iterated on protocol paths
+    /// without sorting first.
     pub(crate) promises: DetHashMap<u64, crate::ops::promise::PromiseState>,
     /// Promise-selector bindings: `(owner, selector)` → raw promise key.
     /// Kept separate from the capability tables so the classic selector
@@ -312,7 +312,13 @@ impl Kernel {
         if in_use > self.stats.max_pending_ops {
             self.stats.max_pending_ops = in_use;
         }
-        let pool = self.cfg.thread_pool_size(self.vpes.len() as u32) as u64;
+        // An asynchronous inner execution can hold a thread alongside
+        // its VPE's blocking syscall, so once this kernel has started
+        // one the pool's VPE term counts twice.
+        let vpes = self.vpes.len() as u32;
+        let async_started = self.next_async_tag > crate::ops::promise::ASYNC_TAG_BASE;
+        let pool =
+            self.cfg.thread_pool_size(vpes) as u64 + if async_started { vpes as u64 } else { 0 };
         debug_assert!(
             in_use <= pool,
             "kernel {id}: {in_use} thread-holding ops exceed pool {pool}",
@@ -536,9 +542,9 @@ impl Kernel {
         }
         // A call naming a promise selector is a dependent call: it
         // severs, parks, or replays through the promise engine instead
-        // of the classic handlers (`Feature::PromiseIpc` only; the
-        // bindings map is empty otherwise, so the classic path is
-        // untouched).
+        // of the classic handlers (the bindings map is empty until the
+        // VPEs of this kernel submit asynchronously, so the classic
+        // path is untouched).
         if !self.promise_binds.is_empty() {
             if let Some(cost) = self.sys_promise_dependent(vpe, tag, call, out) {
                 return entry + cost;

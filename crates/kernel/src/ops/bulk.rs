@@ -53,15 +53,26 @@
 //!
 //! # How items reuse the single-call handlers
 //!
-//! Each non-revoke item is started through the *same* `sys_*` entry
-//! handler the standalone call uses, with the item index as its
-//! (kernel-internal) reply tag. The single dispatch point every handler
-//! funnels completions through — [`Kernel::reply_sys`] — checks whether
-//! the destination VPE has an active batch: if so, the "reply" is
-//! recorded as that item's result instead of leaving as a message, and
-//! the batch advances to the next item. The standalone handlers are
+//! Each non-revoke item is started through the *same* dispatch table
+//! the standalone call uses ([`Kernel::dispatch_syscall`]), with the
+//! item index as its (kernel-internal) reply tag. The single dispatch
+//! point every handler funnels completions through —
+//! [`Kernel::reply_sys`] — checks whether the destination VPE has an
+//! active batch: if so, the "reply" is recorded as that item's result
+//! instead of leaving as a message, and the batch advances to the next
+//! item. The standalone handlers are
 //! therefore literally the N=1 case of this path; nothing about their
 //! execution, costs, or messages changes when no batch is active.
+//!
+//! # Promise selectors are not batch operands
+//!
+//! Items skip the dependent-call path of promise IPC
+//! ([`crate::ops::promise`]): an item naming a promise selector looks it
+//! up in the capability table like any other selector and fails with
+//! `NoSuchCap`, and the rest of the batch still runs. A `Revoke` item
+//! naming a promise therefore leaves the handle intact, where a
+//! standalone `Revoke` of it would sever the handle. Redeem promises
+//! before batching their results.
 //!
 //! # Thread accounting
 //!
@@ -259,7 +270,7 @@ impl Kernel {
         }
     }
 
-    /// Starts one non-revoke item through the standalone entry handler,
+    /// Starts one non-revoke item through the standalone dispatch table,
     /// with the item index as its internal reply tag. Whatever path the
     /// handler completes on — synchronously here, or via the reply
     /// router rounds later — its `reply_sys` is intercepted and becomes
@@ -267,20 +278,6 @@ impl Kernel {
     fn bulk_start_item(&mut self, vpe: VpeId, idx: usize, item: Syscall, out: &mut Outbox) -> u64 {
         let tag = idx as u64;
         match item {
-            Syscall::Noop => {
-                self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
-                self.cfg.cost.syscall_exit
-            }
-            Syscall::CreateMem { size, perms } => self.sys_create_mem(vpe, tag, size, perms, out),
-            Syscall::DeriveMem { src, offset, size, perms } => {
-                self.sys_derive_mem(vpe, tag, src, offset, size, perms, out)
-            }
-            Syscall::Exchange { other, own_sel, other_sel, kind } => {
-                self.sys_exchange(vpe, tag, other, own_sel, other_sel, kind, out)
-            }
-            Syscall::CreateSrv { name } => self.sys_create_srv(vpe, tag, name, out),
-            Syscall::OpenSession { name } => self.sys_open_session(vpe, tag, name, out),
-            Syscall::Activate { sel, ep } => self.sys_activate(vpe, tag, sel, ep, out),
             Syscall::Exit
             | Syscall::Batch(_)
             | Syscall::SubmitAsync(_)
@@ -294,6 +291,7 @@ impl Kernel {
                 0
             }
             Syscall::Revoke { .. } => unreachable!("revokes take the coalesced path"),
+            _ => self.dispatch_syscall(vpe, tag, &item, out),
         }
     }
 

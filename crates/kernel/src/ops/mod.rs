@@ -203,7 +203,7 @@ pub enum PendingOp {
     /// message, executed in order with coalesced revoke fan-outs.
     Bulk(bulk::Phase),
     /// Promise-capability IPC ([`promise`]): the eager-provide legs of
-    /// an asynchronous cross-kernel delegate (`Feature::PromiseIpc`).
+    /// an asynchronous cross-kernel delegate.
     Promise(promise::Phase),
 }
 

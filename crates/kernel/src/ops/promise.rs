@@ -1,5 +1,4 @@
-//! Promise-capability IPC — pipelined asynchronous invocation
-//! (`Feature::PromiseIpc`).
+//! Promise-capability IPC — pipelined asynchronous invocation.
 //!
 //! A [`Syscall::SubmitAsync`] returns immediately with a *promise
 //! capability*: a first-class selector standing in for the eventual
@@ -19,8 +18,8 @@
 //! a reserved selector range ([`PROMISE_SEL_BASE`]). Promises live
 //! *outside* the capability tree: no mapdb record, no table slot, no
 //! children — `Kernel::state_digest` is untouched by any amount of
-//! promise traffic, which is what keeps every pre-existing golden and
-//! trace fingerprint bit-identical with the feature off.
+//! promise traffic, and a machine that never submits asynchronously
+//! runs exactly the classic handlers.
 //!
 //! # Protocol phases
 //!
@@ -57,7 +56,6 @@
 //! deadline, so dropped `Resolve` legs or a crashed peer kernel abort
 //! the promise with `Err(Timeout)` through the ordinary fault engine.
 
-use semper_base::config::Feature;
 use semper_base::msg::{CapDesc, KReply, Kcall, SysReplyData, Syscall, Upcall};
 use semper_base::{CapSel, Code, DdlKey, Error, ExchangeKind, KernelId, OpId, Result, VpeId};
 use semper_caps::alloc::PROMISE_ID_BASE;
@@ -284,10 +282,6 @@ impl Kernel {
         inner: &Syscall,
         out: &mut Outbox,
     ) -> u64 {
-        if !self.cfg.has_feature(Feature::PromiseIpc) {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NotSupported)));
-            return self.cfg.cost.syscall_exit;
-        }
         if matches!(
             inner,
             Syscall::Exit
@@ -599,10 +593,6 @@ impl Kernel {
         block: bool,
         out: &mut Outbox,
     ) -> u64 {
-        if !self.cfg.has_feature(Feature::PromiseIpc) {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NotSupported)));
-            return self.cfg.cost.syscall_exit;
-        }
         let ref_c = self.ref_cost();
         let key = match self.promise_binds.get(&(vpe, sel)) {
             Some(&k) => k,

@@ -88,15 +88,12 @@ pub struct KernelStats {
     /// unknown ops, duplicate fan-in completions, duplicate delete
     /// orders — events that are hard errors outside fault mode.
     pub fault_anomalies: u64,
-    /// Promise capabilities handed out by `Syscall::SubmitAsync`
-    /// (`Feature::PromiseIpc` only).
+    /// Promise capabilities handed out by `Syscall::SubmitAsync`.
     pub promises_created: u64,
-    /// Promises resolved — to a value or an error (`Feature::PromiseIpc`
-    /// only).
+    /// Promises resolved — to a value or an error.
     pub promises_resolved: u64,
     /// Dependent calls that were pipelined: parked against an unresolved
-    /// promise and replayed on resolution instead of blocking the client
-    /// (`Feature::PromiseIpc` only).
+    /// promise and replayed on resolution instead of blocking the client.
     pub calls_pipelined: u64,
 }
 

@@ -5,7 +5,9 @@
 //! session-scoped IPC. Serving an extent takes two system calls —
 //! `DeriveMem` (attenuate the image capability to the extent range) and
 //! `Exchange`/delegate (hand it to the client, possibly across kernels) —
-//! and closing a file revokes every capability delegated for it. This is
+//! and closing a file revokes every capability delegated for it in one
+//! system call: a plain `Revoke` for a single extent, one
+//! `Syscall::Batch` of revokes for several (§5.2's batching). This is
 //! the exact capability lifecycle the paper describes for m3fs (§2.2)
 //! and what generates the capability operations counted in Table 4.
 
@@ -62,19 +64,6 @@ struct OpenFile {
     delegated: Vec<CapSel>,
 }
 
-/// Where a pipelined close currently is, between syscall replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipeStep {
-    /// `SubmitAsync(Revoke)` in flight for the head of `remaining`.
-    Submit,
-    /// Severing the promise handle of a non-tail revoke.
-    Sever,
-    /// Blocking `WaitPromise` on the tail promise.
-    WaitTail,
-    /// Severing the tail handle after it resolved.
-    SeverTail,
-}
-
 /// Work that needs system calls, processed one syscall at a time.
 #[derive(Debug, Clone)]
 enum Work {
@@ -93,25 +82,8 @@ enum Work {
         /// Filled after the derive completed.
         derived_sel: Option<CapSel>,
     },
-    /// Close a file: revoke each delegated capability, then ack.
-    Close { client_pe: PeId, tag: u64, fid: u64, remaining: Vec<CapSel> },
-    /// Close a file over the promise pipeline (`Feature::PromiseIpc`):
-    /// submit one asynchronous revoke per delegated extent, sever each
-    /// promise handle the moment the kernel hands it back, and block
-    /// on the tail promise only — program-order pipelining guarantees
-    /// every earlier revoke completed once the tail resolves.
-    ClosePipelined {
-        client_pe: PeId,
-        tag: u64,
-        fid: u64,
-        /// Extent selectors not yet submitted.
-        remaining: Vec<CapSel>,
-        /// Revokes submitted in total, counted at the tail resolution.
-        submitted: u64,
-        /// Promise handle of the revoke most recently submitted.
-        promise: Option<CapSel>,
-        step: PipeStep,
-    },
+    /// Close a file: revoke every delegated capability, then ack.
+    Close { client_pe: PeId, tag: u64, extents: Vec<CapSel> },
 }
 
 /// One m3fs instance.
@@ -141,15 +113,6 @@ pub struct FsService {
     /// hand-rolled `syscall_busy`/`next_tag` pair this actor used to
     /// keep).
     conn: KernelConn,
-    /// When set, the close path revokes all of a file's delegated
-    /// extents as one `Syscall::Batch` instead of one revoke syscall
-    /// per extent (`Feature::SyscallBatching`'s service-side half).
-    batch_ops: bool,
-    /// When set, the close path issues its revokes asynchronously via
-    /// promise capabilities and blocks on the tail promise only
-    /// (`Feature::PromiseIpc`'s service-side half). Takes precedence
-    /// over `batch_ops`.
-    pipelined_ops: bool,
     queue: VecDeque<Work>,
     current: Option<Work>,
 
@@ -181,29 +144,10 @@ impl FsService {
             files: BTreeMap::new(),
             next_fid: 1,
             conn: KernelConn::new(pe, kernel_pe),
-            batch_ops: false,
-            pipelined_ops: false,
             queue: VecDeque::new(),
             current: None,
             stats: FsServiceStats::default(),
         }
-    }
-
-    /// Switches the close path to batched revocation: one
-    /// `Syscall::Batch` revokes every delegated extent of a closed file
-    /// in a single kernel round trip. Off by default — the sequential
-    /// path is the baseline the determinism goldens pin.
-    pub fn set_batched_ops(&mut self, on: bool) {
-        self.batch_ops = on;
-    }
-
-    /// Switches the close path to promise-pipelined revocation: every
-    /// delegated extent is revoked through `Syscall::SubmitAsync`, each
-    /// promise handle severed as soon as it arrives, and only the tail
-    /// promise is waited on. Off by default — the blocking path is the
-    /// baseline the determinism goldens pin.
-    pub fn set_pipelined_ops(&mut self, on: bool) {
-        self.pipelined_ops = on;
     }
 
     /// This instance's VPE.
@@ -397,10 +341,7 @@ impl FsService {
                     self.reply_fs(out, src, req.tag, Ok(FsReplyData::Ok));
                     return self.cost.fs_meta_op;
                 }
-                self.enqueue(
-                    Work::Close { client_pe, tag: req.tag, fid: *fid, remaining: file.delegated },
-                    out,
-                );
+                self.enqueue(Work::Close { client_pe, tag: req.tag, extents: file.delegated }, out);
                 self.cost.fs_meta_op
             }
         }
@@ -428,47 +369,21 @@ impl FsService {
                 self.current = Some(work);
                 self.syscall(call, out);
             }
-            Work::Close { client_pe, tag, fid, remaining } => {
-                if self.pipelined_ops && remaining.len() > 1 {
-                    // Pipelined path: the revoke for extent `i+1` is
-                    // submitted while the kernel still works on extent
-                    // `i`; the service's submit/sever round trips
-                    // overlap with the revocation sweeps instead of
-                    // serialising behind them.
-                    let (client_pe, tag, fid) = (*client_pe, *tag, *fid);
-                    let remaining = remaining.clone();
-                    let sel = remaining[0];
-                    self.current = Some(Work::ClosePipelined {
-                        client_pe,
-                        tag,
-                        fid,
-                        remaining,
-                        submitted: 0,
-                        promise: None,
-                        step: PipeStep::Submit,
-                    });
-                    self.syscall(
-                        Syscall::SubmitAsync(Box::new(Syscall::Revoke { sel, own: true })),
-                        out,
-                    );
-                } else if self.batch_ops && remaining.len() > 1 {
-                    // Bulk path: revoke every delegated extent of the
-                    // file in one batched system call — one round trip,
-                    // and the kernel coalesces the cross-kernel fan-out.
+            Work::Close { extents, .. } => {
+                // One kernel round trip per close: a plain revoke for a
+                // single extent, else one batch whose coalesced fan-out
+                // groups the cross-kernel revokes per peer kernel.
+                if let [sel] = extents[..] {
+                    self.current = Some(work);
+                    self.syscall(Syscall::Revoke { sel, own: true }, out);
+                } else {
                     let mut batch = BatchBuilder::new();
-                    for sel in remaining {
-                        batch.push(Syscall::Revoke { sel: *sel, own: true });
+                    for &sel in extents {
+                        batch.push(Syscall::Revoke { sel, own: true });
                     }
                     self.current = Some(work);
                     batch.submit(&mut self.conn, out);
-                } else {
-                    let sel = remaining[0];
-                    self.current = Some(work);
-                    self.syscall(Syscall::Revoke { sel, own: true }, out);
                 }
-            }
-            Work::ClosePipelined { .. } => {
-                unreachable!("pipelined close work is created in flight, never queued");
             }
         }
     }
@@ -582,126 +497,24 @@ impl FsService {
                     self.cost.fs_extent_op
                 }
             },
-            Work::Close { client_pe, tag, fid, mut remaining } => {
-                if let Ok(SysReplyData::Batch(results)) = &reply.result {
-                    // Batched close: one reply covers every delegated
-                    // extent of the file. A failed item must reach the
-                    // client as an error — swallowing it in release
-                    // builds would report a close as clean while extent
-                    // capabilities survive.
-                    debug_assert_eq!(results.len(), remaining.len());
-                    self.stats.revokes += results.iter().filter(|r| r.is_ok()).count() as u64;
-                    let failed = results.iter().find_map(|r| r.as_ref().err().copied());
-                    let outcome = match failed {
-                        None => Ok(FsReplyData::Ok),
-                        Some(e) => Err(e),
-                    };
-                    self.reply_fs(out, client_pe, tag, outcome);
-                } else {
-                    debug_assert!(reply.result.is_ok(), "revoke failed: {:?}", reply.result);
-                    self.stats.revokes += 1;
-                    remaining.remove(0);
-                    if remaining.is_empty() {
-                        self.reply_fs(out, client_pe, tag, Ok(FsReplyData::Ok));
-                    } else {
-                        let sel = remaining[0];
-                        self.current = Some(Work::Close { client_pe, tag, fid, remaining });
-                        self.syscall(Syscall::Revoke { sel, own: true }, out);
+            Work::Close { client_pe, tag, extents } => {
+                // A single-extent close is answered by a plain reply:
+                // read it as a one-item result list. A failed item must
+                // reach the client as an error — reporting a clean close
+                // while an extent capability survives would hide it.
+                let results = match &reply.result {
+                    Ok(SysReplyData::Batch(results)) => {
+                        debug_assert_eq!(results.len(), extents.len());
+                        &results[..]
                     }
-                }
-                self.cost.fs_meta_op
-            }
-            Work::ClosePipelined {
-                client_pe,
-                tag,
-                fid,
-                mut remaining,
-                submitted,
-                promise,
-                step,
-            } => {
-                match step {
-                    PipeStep::Submit => {
-                        // The kernel handed back the promise for the
-                        // head revoke; it executes asynchronously.
-                        let Ok(SysReplyData::Promise { sel }) = &reply.result else {
-                            panic!("pipelined close: expected a promise, got {:?}", reply.result);
-                        };
-                        let psel = *sel;
-                        remaining.remove(0);
-                        let submitted = submitted + 1;
-                        if remaining.is_empty() {
-                            // Tail: block on it. Program order means
-                            // the tail resolving implies every earlier
-                            // revoke completed as well.
-                            self.current = Some(Work::ClosePipelined {
-                                client_pe,
-                                tag,
-                                fid,
-                                remaining,
-                                submitted,
-                                promise: Some(psel),
-                                step: PipeStep::WaitTail,
-                            });
-                            self.syscall(Syscall::WaitPromise { sel: psel, block: true }, out);
-                        } else {
-                            self.current = Some(Work::ClosePipelined {
-                                client_pe,
-                                tag,
-                                fid,
-                                remaining,
-                                submitted,
-                                promise: Some(psel),
-                                step: PipeStep::Sever,
-                            });
-                            self.syscall(Syscall::Revoke { sel: psel, own: true }, out);
-                        }
-                    }
-                    PipeStep::Sever => {
-                        // Handle severed; submit the next revoke while
-                        // the previous ones are still in flight.
-                        debug_assert!(reply.result.is_ok(), "sever failed: {:?}", reply.result);
-                        let sel = remaining[0];
-                        self.current = Some(Work::ClosePipelined {
-                            client_pe,
-                            tag,
-                            fid,
-                            remaining,
-                            submitted,
-                            promise: None,
-                            step: PipeStep::Submit,
-                        });
-                        self.syscall(
-                            Syscall::SubmitAsync(Box::new(Syscall::Revoke { sel, own: true })),
-                            out,
-                        );
-                    }
-                    PipeStep::WaitTail => {
-                        debug_assert!(
-                            reply.result.is_ok(),
-                            "pipelined revoke failed: {:?}",
-                            reply.result
-                        );
-                        // Count every revoke of the chain here: the
-                        // tail resolved, so all of them landed.
-                        self.stats.revokes += submitted;
-                        let psel = promise.expect("tail promise recorded at submit");
-                        self.current = Some(Work::ClosePipelined {
-                            client_pe,
-                            tag,
-                            fid,
-                            remaining,
-                            submitted,
-                            promise: None,
-                            step: PipeStep::SeverTail,
-                        });
-                        self.syscall(Syscall::Revoke { sel: psel, own: true }, out);
-                    }
-                    PipeStep::SeverTail => {
-                        debug_assert!(reply.result.is_ok(), "sever failed: {:?}", reply.result);
-                        self.reply_fs(out, client_pe, tag, Ok(FsReplyData::Ok));
-                    }
-                }
+                    single => std::slice::from_ref(single),
+                };
+                self.stats.revokes += results.iter().filter(|r| r.is_ok()).count() as u64;
+                let outcome = match results.iter().find_map(|r| r.as_ref().err()) {
+                    None => Ok(FsReplyData::Ok),
+                    Some(e) => Err(*e),
+                };
+                self.reply_fs(out, client_pe, tag, outcome);
                 self.cost.fs_meta_op
             }
         };

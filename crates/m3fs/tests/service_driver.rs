@@ -5,7 +5,8 @@
 use semper_base::msg::{
     FsOp, FsReply, FsReplyData, FsReq, Outbox, Payload, SysReplyData, Syscall, Upcall,
 };
-use semper_base::{CapSel, Code, CostModel, Msg, OpId, PeId, VpeId};
+use semper_base::{CapSel, Code, CostModel, Error, Msg, OpId, PeId, VpeId};
+use semper_m3fs::image::EXTENT_BYTES;
 use semper_m3fs::{FsImage, FsService, FsSpec};
 
 const SVC_PE: PeId = PeId(3);
@@ -14,7 +15,7 @@ const CLIENT_PE: PeId = PeId(7);
 const CLIENT_VPE: VpeId = VpeId(1);
 
 fn booted_service() -> FsService {
-    let spec = FsSpec::empty().file("/f.dat", 300_000);
+    let spec = FsSpec::empty().file("/f.dat", 300_000).file("/big.dat", 2 * EXTENT_BYTES + 1);
     let size = spec.region_size(8 << 20);
     let mut s = FsService::new(
         VpeId(9),
@@ -156,6 +157,82 @@ fn close_revokes_each_delegated_extent() {
     assert!(matches!(expect_fs_reply(&mut out, 12), Ok(FsReplyData::Ok)));
     assert_eq!(s.stats().revokes, 1);
     assert_eq!(s.stats().closes, 1);
+}
+
+/// Opens `/big.dat` (three extents) as fid 1 and serves every extent,
+/// answering the derives with selectors 20, 21 and 22. Returns those
+/// service-side selectors: the ones a close must revoke.
+fn open_three_extent_file(s: &mut FsService) -> Vec<CapSel> {
+    let mut out =
+        fs_req(s, 10, FsOp::Open { path: "/big.dat".into(), write: false, create: false });
+    let _ = expect_fs_reply(&mut out, 10);
+    let sels: Vec<CapSel> = (20..23).map(CapSel).collect();
+    for (i, &derived) in sels.iter().enumerate() {
+        let tag = 11 + i as u64;
+        let offset = i as u64 * EXTENT_BYTES;
+        let mut out = fs_req(s, tag, FsOp::NextExtent { fid: 1, offset, write: false });
+        let (t, _) = expect_syscall(&mut out);
+        let mut out = sys_reply(s, t, Ok(SysReplyData::Sel(derived)));
+        let (t, _) = expect_syscall(&mut out);
+        let mut out = sys_reply(s, t, Ok(SysReplyData::Delegated { recv_sel: CapSel(4) }));
+        assert!(matches!(expect_fs_reply(&mut out, tag), Ok(FsReplyData::Extent { .. })));
+    }
+    sels
+}
+
+#[test]
+fn multi_extent_close_is_one_batch_of_revokes() {
+    let mut s = booted_service();
+    let sels = open_three_extent_file(&mut s);
+    let mut out = fs_req(&mut s, 20, FsOp::Close { fid: 1 });
+    let (tag, call) = expect_syscall(&mut out);
+    assert!(out.drain().is_empty(), "one system call per close");
+    let Syscall::Batch(items) = call else { panic!("expected one batch, got {call:?}") };
+    let revokes: Vec<Syscall> =
+        sels.iter().map(|&sel| Syscall::Revoke { sel, own: true }).collect();
+    assert_eq!(items[..], revokes[..]);
+    let done = Box::new(vec![Ok(SysReplyData::None); 3]);
+    let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::Batch(done)));
+    assert!(matches!(expect_fs_reply(&mut out, 20), Ok(FsReplyData::Ok)));
+    assert_eq!(s.stats().revokes, 3);
+}
+
+#[test]
+fn failed_batch_item_reaches_the_client() {
+    let mut s = booted_service();
+    open_three_extent_file(&mut s);
+    let mut out = fs_req(&mut s, 20, FsOp::Close { fid: 1 });
+    let (tag, _) = expect_syscall(&mut out);
+    let results = Box::new(vec![
+        Ok(SysReplyData::None),
+        Err(Error::new(Code::NoSuchCap)),
+        Ok(SysReplyData::None),
+    ]);
+    let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::Batch(results)));
+    assert_eq!(expect_fs_reply(&mut out, 20).unwrap_err().code(), Code::NoSuchCap);
+    assert_eq!(s.stats().revokes, 2);
+}
+
+#[test]
+fn failed_single_extent_revoke_reaches_the_client() {
+    let mut s = booted_service();
+    let mut out =
+        fs_req(&mut s, 10, FsOp::Open { path: "/f.dat".into(), write: false, create: false });
+    let _ = expect_fs_reply(&mut out, 10);
+    let mut out = fs_req(&mut s, 11, FsOp::NextExtent { fid: 1, offset: 0, write: false });
+    let (tag, _) = expect_syscall(&mut out);
+    let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::Sel(CapSel(8))));
+    let (tag, _) = expect_syscall(&mut out);
+    let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::Delegated { recv_sel: CapSel(4) }));
+    let _ = expect_fs_reply(&mut out, 11);
+
+    // The revoke fails: the client must see the error, not a clean close.
+    let mut out = fs_req(&mut s, 12, FsOp::Close { fid: 1 });
+    let (tag, call) = expect_syscall(&mut out);
+    assert!(matches!(call, Syscall::Revoke { sel: CapSel(8), own: true }), "{call:?}");
+    let mut out = sys_reply(&mut s, tag, Err(Error::new(Code::NoSuchCap)));
+    assert_eq!(expect_fs_reply(&mut out, 12).unwrap_err().code(), Code::NoSuchCap);
+    assert_eq!(s.stats().revokes, 0);
 }
 
 #[test]

@@ -329,9 +329,6 @@ fn partition_aborts_then_heals_migration() {
 #[test]
 fn promise_chain_survives_resolve_leg_storm() {
     let mut c = TestCluster::new(3, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::PromiseIpc);
-    }
     let plan = FaultPlan::seeded(0x9120_5704).with_drop(80).with_duplicate(50).with_delay(100, 12);
     c.set_fault_plan(plan, 256);
 
@@ -390,9 +387,6 @@ fn promise_chain_survives_resolve_leg_storm() {
 #[test]
 fn peer_crash_holding_unresolved_promise_yields_real_error() {
     let mut c = TestCluster::new(2, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::PromiseIpc);
-    }
     let plan = FaultPlan::empty().with_crash(CrashPoint {
         kernel: 1,
         phase: "promise-consent",

@@ -436,11 +436,6 @@ fn run_pipe_case(case: u64, pipelined: bool) -> String {
     let mut rng = DetRng::split(0x9120_14ED, case);
     let n_ops = rng.between(2, 15) as usize;
     let mut c = TestCluster::new(3, 2);
-    if pipelined {
-        for k in &mut c.kernels {
-            k.enable_feature_for_test(semper_base::Feature::PromiseIpc);
-        }
-    }
     let issuer = VpeId(0);
     let root = match c.syscall(issuer, Syscall::CreateMem { size: 4096, perms: Perms::RW }).result {
         Ok(SysReplyData::Mem { sel, .. }) => sel,
